@@ -23,7 +23,6 @@ from .matching import (
     Bipartition,
     OddCycle,
     complement_bipartition,
-    hopcroft_karp,
     max_clique_cobipartite,
 )
 from .solver import (
@@ -61,7 +60,6 @@ __all__ = [
     "expected_avg_degree",
     "fetch_snap",
     "generate",
-    "hopcroft_karp",
     "induced_subgraph",
     "initial_clique",
     "kernelize",

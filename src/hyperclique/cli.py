@@ -3,7 +3,8 @@
 Subcommands: generate, kernel, solve, oracle, validate, fetch-snap, bench.
 Every command writes one JSON document to stdout (pretty by default,
 compact under --json) and diagnostics to stderr.  Exit codes: 0 success /
-exact result, 1 runtime failure, 2 usage error, 3 heuristic result that
+exact result, 1 runtime failure or, from validate, an ordering that fails
+the check (`{"valid": false}`), 2 usage error, 3 heuristic result that
 may be below the true optimum.
 """
 
@@ -84,7 +85,6 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     g = load_graph(args.graph, args.coords)
     out = solve(g, args.mode, args.variant)
-    kernel_size = int(kernelize(g).kernel.size)
     _emit(
         {
             "mode": args.mode,
@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
             "omega_eval": out.omega_eval,
             "exact": out.exact,
             "clique": [int(v) for v in out.clique],
-            "kernel_size": kernel_size,
+            "kernel_size": out.kernel_size,
             "v_left": out.residual_vertices,
             "e_left": out.residual_edges,
             "timings": {k: round(v, 3) for k, v in out.timings.items()},
@@ -113,7 +113,7 @@ def cmd_validate(args) -> int:
     g = load_graph(args.graph, args.coords)
     ok = validate_cneeo(g, build_cneeo_geometric(g))
     _emit({"valid": bool(ok)}, args)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 def cmd_fetch_snap(args) -> int:

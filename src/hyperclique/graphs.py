@@ -256,13 +256,13 @@ def fetch_snap(name: str, cache_dir: str | Path | None = None,
     target = cache / f"{name}.txt"
     if target.exists():
         return target
-    import requests
+    import urllib.request  # only a cold cache pays for the import
 
     url = f"{base_url}/{SNAP_DATASETS[name]}"
     print(f"fetching {url}", file=sys.stderr)
-    resp = requests.get(url, timeout=timeout)
-    resp.raise_for_status()
-    text = gzip.decompress(resp.content)
+    # HTTP error statuses raise HTTPError, an OSError
+    with urllib.request.urlopen(url, timeout=timeout) as resp:
+        text = gzip.decompress(resp.read())
     tmp = target.with_suffix(".txt.part")
     tmp.write_bytes(text)
     tmp.rename(target)

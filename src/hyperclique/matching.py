@@ -2,30 +2,28 @@
 
 A graph is co-bipartite when its complement is bipartite.  Its maximum
 clique is the complement's maximum independent set, which Koenig's theorem
-recovers from a maximum matching.  The complement of a co-bipartite graph
-is dense to write down but cheap to walk, so nothing here materializes it:
-the 2-coloring scans sorted non-neighbor lists and the matching consumes
-per-vertex complement adjacency computed once per subproblem.
+recovers from a maximum matching.  The graphs solved here are lenses of a
+kernel, at most a few hundred vertices, so the complement is held as one
+dense boolean matrix: the 2-coloring walks it one BFS level at a time, and
+the matching runs scipy's compiled Hopcroft-Karp on its cross block.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .graphs import Graph
 
 __all__ = [
     "Bipartition",
     "OddCycle",
-    "MatchingResult",
     "min_cobipartite_edges",
     "quick_reject_cobipartite",
     "complement_bipartition",
-    "hopcroft_karp",
     "max_clique_cobipartite",
 ]
 
@@ -49,16 +47,6 @@ class OddCycle:
     vertices: np.ndarray
 
 
-class MatchingResult:
-    """Matching as an involution array; pair[v] = partner or -1."""
-
-    __slots__ = ("pair", "size")
-
-    def __init__(self, pair: np.ndarray, size: int):
-        self.pair = pair
-        self.size = size
-
-
 def min_cobipartite_edges(nv: int) -> int:
     """Fewest edges any co-bipartite graph on nv vertices can have.
 
@@ -73,41 +61,52 @@ def quick_reject_cobipartite(sub: Graph) -> bool:
     return sub.m < min_cobipartite_edges(sub.n)
 
 
-def _nonneighbors(g: Graph, u: int, pool: np.ndarray) -> np.ndarray:
-    """Members of sorted `pool` not adjacent to u, excluding u itself."""
-    out = pool[~np.isin(pool, g.neighbors(u), assume_unique=True)]
-    return out[out != u]
+def _edge_sources(g: Graph) -> np.ndarray:
+    """Source vertex of every CSR adjacency slot."""
+    return np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+
+
+def _complement(sub: Graph) -> np.ndarray:
+    """Dense adjacency matrix of the complement of `sub`, no self-loops."""
+    comp = np.ones((sub.n, sub.n), dtype=bool)
+    comp[_edge_sources(sub), sub.indices] = False
+    np.fill_diagonal(comp, False)
+    return comp
 
 
 def complement_bipartition(sub: Graph) -> Bipartition | OddCycle:
     """2-color the complement of `sub`, or return an odd complement cycle.
 
-    BFS over the complement without building it: expanding u visits the
-    not-yet-colored non-neighbors of u; a colored non-neighbor on u's own
-    side closes an odd cycle through their BFS ancestors.
+    BFS over the complement one whole level at a time, roots in id order
+    and on side False.  A BFS edge joins equal or adjacent levels, so the
+    complement is bipartite exactly when no level holds a complement edge;
+    such an edge closes an odd cycle through the two BFS ancestries.
+    Vertices adjacent to every other vertex are their own components and
+    are colored up front.
     """
-    n = sub.n
-    side = np.zeros(n, dtype=bool)
-    colored = np.zeros(n, dtype=bool)
-    parent = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    for root in range(n):
-        if colored[root]:
-            continue
-        colored[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            others = _nonneighbors(sub, u, np.flatnonzero(colored))
-            clash = others[side[others] == side[u]]
-            if clash.size:
-                return OddCycle(_odd_cycle(parent, depth, u, int(clash[0])))
-            fresh = _nonneighbors(sub, u, np.flatnonzero(~colored))
-            side[fresh] = not side[u]
+    comp = _complement(sub)
+    side = np.zeros(sub.n, dtype=bool)
+    colored = ~comp.any(axis=1)
+    parent = np.full(sub.n, -1, dtype=np.int64)
+    depth = np.zeros(sub.n, dtype=np.int64)
+    while not colored.all():
+        level = np.flatnonzero(~colored)[:1]
+        colored[level] = True
+        d = 0
+        while level.size:
+            rows = comp[level]
+            inner = np.argwhere(rows[:, level])
+            if inner.size:
+                u, w = level[inner[0]]
+                return OddCycle(_odd_cycle(parent, depth, int(u), int(w)))
+            reach = rows & ~colored
+            fresh = np.flatnonzero(reach.any(axis=0))
+            d += 1
+            parent[fresh] = level[reach[:, fresh].argmax(axis=0)]
+            depth[fresh] = d
+            side[fresh] = d % 2 == 1
             colored[fresh] = True
-            parent[fresh] = u
-            depth[fresh] = depth[u] + 1
-            queue.extend(fresh.tolist())
+            level = fresh
     return Bipartition(side)
 
 
@@ -126,93 +125,16 @@ def _odd_cycle(parent: np.ndarray, depth: np.ndarray, u: int, w: int) -> np.ndar
     return np.asarray(cycle, dtype=np.int64)
 
 
-def hopcroft_karp(
-    left: np.ndarray,
-    right: np.ndarray,
-    comp_neighbors: Callable[[int], np.ndarray],
-) -> MatchingResult:
-    """Maximum matching of the bipartite complement in O(E * sqrt(V)).
-
-    `comp_neighbors(l)` yields the right-side vertices complement-adjacent
-    to left vertex l.  Layered BFS from free left vertices alternates with
-    augmentation along shortest augmenting paths; the augmenting walk is an
-    explicit stack so deep paths cannot overflow the interpreter.
-    """
-    ids = [int(v) for v in left] + [int(v) for v in right]
-    nv = max(ids) + 1 if ids else 0
-    pair = np.full(nv, -1, dtype=np.int64)
-    lefts = [int(v) for v in left]
-    INF = -1  # sentinel layer meaning "unreached this phase"
-    dist = np.full(nv, INF, dtype=np.int64)
-    dist_nil = [INF]  # layer of the nearest free right vertex
-
-    def bfs() -> bool:
-        dist[:] = INF
-        dist_nil[0] = INF
-        queue = deque()
-        for l in lefts:
-            if pair[l] == -1:
-                dist[l] = 0
-                queue.append(l)
-        while queue:
-            l = queue.popleft()
-            if dist_nil[0] != INF and dist[l] >= dist_nil[0]:
-                continue
-            for r in comp_neighbors(l):
-                nxt = int(pair[r])
-                if nxt == -1:
-                    if dist_nil[0] == INF:
-                        dist_nil[0] = dist[l] + 1
-                elif dist[nxt] == INF:
-                    dist[nxt] = dist[l] + 1
-                    queue.append(nxt)
-        return dist_nil[0] != INF
-
-    def augment(start: int) -> bool:
-        # frames hold (left vertex, its complement-neighbor cursor)
-        stack = [(start, iter(comp_neighbors(start)))]
-        trail = []  # (l, r) edges of the tentative path
-        while stack:
-            l, it = stack[-1]
-            advanced = False
-            for r in it:
-                r = int(r)
-                nxt = int(pair[r])
-                if nxt == -1:
-                    if dist[l] + 1 != dist_nil[0]:
-                        continue
-                    trail.append((l, r))
-                    for pl, pr in trail:
-                        pair[pl], pair[pr] = pr, pl
-                    return True
-                if dist[nxt] == dist[l] + 1:
-                    trail.append((l, r))
-                    stack.append((nxt, iter(comp_neighbors(nxt))))
-                    advanced = True
-                    break
-            if not advanced:
-                dist[l] = INF
-                stack.pop()
-                if trail:
-                    trail.pop()
-        return False
-
-    size = 0
-    while bfs():
-        for l in lefts:
-            if pair[l] == -1 and augment(l):
-                size += 1
-    return MatchingResult(pair, size)
-
-
 def max_clique_cobipartite(sub: Graph, split: Bipartition | None = None) -> np.ndarray:
     """Maximum clique of a co-bipartite graph, as sorted vertex ids.
 
     Koenig: a minimum vertex cover of the bipartite complement is the
     unreached left side plus the reached right side of an alternating BFS
     from free left vertices; the clique is everything outside the cover.
-    Callers that already hold the complement bipartition can pass it in.
-    Raises ValueError when the complement is not bipartite.
+    That cover is the same for every maximum matching, so the clique does
+    not depend on which one the matcher returns.  Callers that already
+    hold the complement bipartition can pass it in.  Raises ValueError
+    when the complement is not bipartite.
     """
     if split is None:
         split = complement_bipartition(sub)
@@ -220,31 +142,34 @@ def max_clique_cobipartite(sub: Graph, split: Bipartition | None = None) -> np.n
         raise ValueError("graph is not co-bipartite")
     left = np.flatnonzero(~split.side)
     right = np.flatnonzero(split.side)
-    comp = {int(l): _nonneighbors(sub, int(l), right) for l in left}
-    matching = hopcroft_karp(left, right, comp.__getitem__)
+    cross = _complement(sub)[np.ix_(left, right)]
+    indptr = np.zeros(left.size + 1, dtype=np.int32)
+    np.cumsum(cross.sum(axis=1), out=indptr[1:])
+    cols = np.nonzero(cross)[1].astype(np.int32)
+    # CSR arrays built directly: csr_matrix(cross) costs more than the matching
+    graph = csr_matrix((np.ones(cols.size, dtype=np.int8), cols, indptr), shape=cross.shape)
+    mate_of_left = maximum_bipartite_matching(graph, perm_type="column")
+    matched = mate_of_left >= 0
+    mate_of_right = np.full(right.size, -1, dtype=np.int64)
+    mate_of_right[mate_of_left[matched]] = np.flatnonzero(matched)
 
-    reached = np.zeros(sub.n, dtype=bool)
-    queue = deque(int(l) for l in left if matching.pair[l] == -1)
-    for l in queue:
-        reached[l] = True
-    while queue:
-        l = queue.popleft()
-        for r in comp[l]:
-            if reached[r]:
-                continue
-            # complement edges l->r, matching edges r->l2 alternate
-            reached[r] = True
-            l2 = int(matching.pair[r])
-            if l2 != -1 and not reached[l2]:
-                reached[l2] = True
-                queue.append(l2)
-    cover = np.concatenate([left[~reached[left]], right[reached[right]]])
-    keep = np.ones(sub.n, dtype=bool)
-    keep[cover.astype(np.int64)] = False
+    reached_left = ~matched
+    reached_right = np.zeros(right.size, dtype=bool)
+    frontier = np.flatnonzero(reached_left)
+    while frontier.size:
+        # complement edges lead left -> right, matching edges right -> left;
+        # a maximum matching leaves no reachable right vertex free, and a
+        # matched left vertex is reached only through its own mate
+        fresh = cross[frontier].any(axis=0) & ~reached_right
+        reached_right |= fresh
+        frontier = mate_of_right[fresh]
+        reached_left[frontier] = True
+    keep = np.zeros(sub.n, dtype=bool)
+    keep[left[reached_left]] = True
+    keep[right[~reached_right]] = True
     clique = np.flatnonzero(keep)
     if __debug__:
-        for i, u in enumerate(clique[:-1]):
-            rest = clique[i + 1:]
-            assert np.isin(rest, sub.neighbors(int(u)), assume_unique=True).all(), \
-                "cover recovery produced a non-clique"
+        inside = keep[_edge_sources(sub)] & keep[sub.indices]
+        assert np.count_nonzero(inside) == clique.size * (clique.size - 1), \
+            "cover recovery produced a non-clique"
     return clique

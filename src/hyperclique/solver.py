@@ -59,11 +59,20 @@ class EdgeOrdering:
 
 @dataclass(frozen=True)
 class CliqueOutcome:
+    """A solve's clique and run report.
+
+    `kernel_size` and `seed_size` come from the solve's own kernelize call;
+    `solve_with_cneeo`, which scans the graph it is given, reports that
+    graph as the kernel and no seed.
+    """
+
     clique: np.ndarray  # vertex ids of the input graph, sorted
     omega_eval: int
     exact: bool
     residual_vertices: int
     residual_edges: int
+    kernel_size: int
+    seed_size: int
     timings: dict
 
 
@@ -177,8 +186,21 @@ class _LiveEdges:
         return v_left, self.live_edge_count()
 
 
-def _solve_lens(g: Graph, members: np.ndarray, timings: dict,
-                split: Bipartition | None = None) -> np.ndarray | None:
+def _test_lens(g: Graph, members: np.ndarray) -> tuple[Graph, np.ndarray, Bipartition | None]:
+    """The co-bipartite test of the lens on `members`.
+
+    Returns (sub, ids, split): the induced subgraph, its original ids, and
+    the complement bipartition, or None in its place when the lens is not
+    co-bipartite.
+    """
+    sub, ids = induced_subgraph(g, members)
+    if quick_reject_cobipartite(sub):
+        return sub, ids, None
+    split = complement_bipartition(sub)
+    return sub, ids, split if isinstance(split, Bipartition) else None
+
+
+def _solve_lens(g: Graph, members: np.ndarray, timings: dict) -> np.ndarray | None:
     """Maximum clique of the subgraph induced on `members`, or None.
 
     None means the subgraph is not co-bipartite.  The two scan endpoints
@@ -186,15 +208,10 @@ def _solve_lens(g: Graph, members: np.ndarray, timings: dict,
     whatever clique comes back.
     """
     t0 = time.perf_counter()
-    sub, ids = induced_subgraph(g, members)
-    if split is None:
-        if quick_reject_cobipartite(sub):
-            timings["const"] += (time.perf_counter() - t0) * 1e3
-            return None
-        split = complement_bipartition(sub)
+    sub, ids, split = _test_lens(g, members)
     t1 = time.perf_counter()
     timings["const"] += (t1 - t0) * 1e3
-    if not isinstance(split, Bipartition):
+    if split is None:
         return None
     local = max_clique_cobipartite(sub, split)
     timings["indep"] += (time.perf_counter() - t1) * 1e3
@@ -280,6 +297,8 @@ def solve_with_cneeo(g: Graph, L: EdgeOrdering, variant: str = "opt") -> CliqueO
         exact=True,
         residual_vertices=0,
         residual_edges=0,
+        kernel_size=g.n,
+        seed_size=0,
         timings=_finish_timings(timings, total),
     )
 
@@ -329,7 +348,7 @@ class _GreedyScan:
     def run(self, on_pass=None, prune_threshold=None, timings=None) -> bool:
         """Greedy pass; returns True when every live edge got placed.
 
-        `on_pass(u, v, members, split)` is invoked for each placed edge
+        `on_pass(u, v, sub, ids, split)` is invoked for each placed edge
         before it is consumed; `prune_threshold()` supplies the lazy
         deletion bound (None disables pruning).
         """
@@ -351,15 +370,10 @@ class _GreedyScan:
                 if dead and not live.edge_alive[eid]:
                     continue
             t0 = tick() if tick else 0.0
-            members = live.live_common(u, v)
-            sub, ids = induced_subgraph(live.g, members)
-            if quick_reject_cobipartite(sub):
-                split = None
-            else:
-                split = complement_bipartition(sub)
+            sub, ids, split = _test_lens(live.g, live.live_common(u, v))
             if timings is not None:
                 timings["cneeo"] += (tick() - t0) * 1e3
-            if not isinstance(split, Bipartition):
+            if split is None:
                 continue  # inactive until an incident edge dies
             if on_pass is not None:
                 on_pass(u, v, sub, ids, split)
@@ -396,12 +410,9 @@ def validate_cneeo(g: Graph, L: EdgeOrdering) -> bool:
             return False
         if not live.edge_alive[eid]:
             return False  # duplicate entry
-        sub, _ = induced_subgraph(g, live.live_common(u, v))
-        if not quick_reject_cobipartite(sub):
-            if isinstance(complement_bipartition(sub), Bipartition):
-                live.consume(eid)
-                continue
-        return False
+        if _test_lens(g, live.live_common(u, v))[2] is None:
+            return False
+        live.consume(eid)
     return True
 
 
@@ -452,6 +463,8 @@ def solve_heuristic(g: Graph) -> CliqueOutcome:
         exact=bool(complete),
         residual_vertices=0 if complete else v_left,
         residual_edges=0 if complete else e_left,
+        kernel_size=int(kr.kernel.size),
+        seed_size=int(kr.initial_clique.size),
         timings=_finish_timings(timings, total),
     )
 
@@ -501,6 +514,8 @@ def solve_baseline(g: Graph) -> CliqueOutcome:
         exact=exact,
         residual_vertices=v_left,
         residual_edges=len(failed),
+        kernel_size=int(kr.kernel.size),
+        seed_size=int(kr.initial_clique.size),
         timings=_finish_timings(timings, total),
     )
 
@@ -542,5 +557,7 @@ def solve(g: Graph, mode: str = "geo", variant: str = "opt") -> CliqueOutcome:
         exact=True,
         residual_vertices=0,
         residual_edges=0,
+        kernel_size=int(kr.kernel.size),
+        seed_size=int(kr.initial_clique.size),
         timings=_finish_timings(timings, total),
     )

@@ -28,7 +28,7 @@ from hyperclique.geometry import HrgParams, intersection_measure, \
     intersection_measure_asymptotic, origin_disk_measure
 from hyperclique.graphs import Graph, fetch_snap, induced_subgraph
 from hyperclique.kernel import initial_clique, kernelize, peel
-from hyperclique.matching import hopcroft_karp, max_clique_cobipartite
+from hyperclique.matching import max_clique_cobipartite
 from hyperclique.solver import build_cneeo_geometric, oracle_max_clique, \
     solve, validate_cneeo
 
@@ -296,9 +296,13 @@ def test_criterion_11_matching_correctness():
         b = int(rng.integers(0, 21))
         p = float(rng.uniform(0.05, 0.6))
         comp = {l: np.flatnonzero(rng.random(b) < p) + a for l in range(a)}
-        res = hopcroft_karp(np.arange(a), np.arange(a, a + b), comp.__getitem__)
-        want = _matching_oracle(range(a), {l: c.tolist() for l, c in comp.items()})
-        assert res.size == want
+        nu = _matching_oracle(range(a), {l: c.tolist() for l, c in comp.items()})
+        # the co-bipartite graph whose cross complement is the drawn graph
+        cross = {l: set(c.tolist()) for l, c in comp.items()}
+        edges = [(u, v) for u in range(a + b) for v in range(u + 1, a + b)
+                 if (u < a) == (v < a) or v not in cross[u]]
+        g = Graph.from_edges(a + b, edges)
+        assert int(max_clique_cobipartite(g).size) == a + b - nu
     for _ in range(500):
         n = int(rng.integers(2, 31))
         side = rng.random(n) < float(rng.uniform(0.2, 0.8))

@@ -22,6 +22,7 @@ from hyperclique.bench import (
 )
 from hyperclique.generator import generate
 from hyperclique.graphs import Graph
+from hyperclique.kernel import kernelize
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,9 @@ def test_realworld_row_contents(monkeypatch):
     assert set(row) == set(REALWORLD_COLUMNS)
     assert row["vertices"] == good.n
     assert row["edges"] == good.m
+    kr = kernelize(good)
+    assert row["kernel_size"] == kr.kernel.size
+    assert row["omega_kernel"] == kr.initial_clique.size
     assert row["omega_kernel"] <= row["omega_eval"]
     if row["exact"]:
         assert (row["v_left"], row["e_left"]) == (0, 0)

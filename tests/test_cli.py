@@ -4,11 +4,14 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hyperclique.bench import KERNEL_SIZE_COLUMNS
 from hyperclique.cli import main
-from hyperclique.graphs import Graph, write_edge_list
+from hyperclique.generator import generate
+from hyperclique.graphs import Graph, load_graph, write_coords, write_edge_list
+from hyperclique.kernel import kernelize
 
 
 def _run(capsys, *argv):
@@ -160,6 +163,26 @@ def test_solve_nogeo_heuristic_exit(capsys, tmp_path):
     assert doc["v_left"] == 9 and doc["e_left"] == 27
 
 
+def test_solve_kernelizes_once(capsys, tmp_path, monkeypatch):
+    g, c, _ = _gen(capsys, tmp_path, n=400, seed=4)
+    want = int(kernelize(load_graph(g, c)).kernel.size)
+    calls = []
+
+    def counting(graph):
+        calls.append(graph.n)
+        return kernelize(graph)
+
+    monkeypatch.setattr("hyperclique.solver.kernelize", counting)
+    monkeypatch.setattr("hyperclique.cli.kernelize", counting)
+    for mode in ("geo", "nogeo", "baseline"):
+        calls.clear()
+        rc, out, _ = _run(capsys, "solve", "--graph", str(g), "--coords", str(c),
+                          "--mode", mode, "--json", "--quiet")
+        assert rc == 0
+        assert len(calls) == 1, mode
+        assert json.loads(out)["kernel_size"] == want
+
+
 def test_solve_geo_without_coords_is_usage_error(capsys, tmp_path):
     _gen(capsys, tmp_path, n=100, seed=7)
     rc, _, err = _run(capsys, "solve", "--graph", str(tmp_path / "g.tsv"),
@@ -187,6 +210,18 @@ def test_validate_length_sorted_ordering(capsys, tmp_path):
                       "--json", "--quiet")
     assert rc == 0
     assert json.loads(out) == {"valid": True}
+
+
+def test_validate_fails_on_permuted_coords(capsys, tmp_path):
+    # coordinates shuffled among the vertices break the ordering property
+    g = generate(400, 0.6, 3, avg_degree=10.0)
+    perm = np.random.default_rng(0).permutation(g.n)
+    write_edge_list(g, tmp_path / "g.tsv")
+    write_coords(g.coords[perm], tmp_path / "c.tsv")
+    rc, out, _ = _run(capsys, "validate", "--graph", str(tmp_path / "g.tsv"),
+                      "--coords", str(tmp_path / "c.tsv"), "--json", "--quiet")
+    assert rc == 1
+    assert json.loads(out) == {"valid": False}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Graph container, TSV ingestion, and dataset cache behavior."""
 
 import gzip
+import io
+import urllib.request
 
 import numpy as np
 import pytest
@@ -190,19 +192,11 @@ def test_fetch_snap_downloads_once(tmp_path, monkeypatch):
     calls = []
     payload = gzip.compress(b"0 1\n1 2\n")
 
-    class FakeResponse:
-        content = payload
-
-        def raise_for_status(self):
-            pass
-
-    import requests
-
-    def fake_get(url, timeout):
+    def fake_urlopen(url, timeout):
         calls.append(url)
-        return FakeResponse()
+        return io.BytesIO(payload)
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     p1 = fetch_snap("ca-GrQc", cache_dir=tmp_path)
     p2 = fetch_snap("ca-GrQc", cache_dir=tmp_path)
     assert p1 == p2 and len(calls) == 1

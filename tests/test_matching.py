@@ -8,7 +8,6 @@ from hyperclique.matching import (
     Bipartition,
     OddCycle,
     complement_bipartition,
-    hopcroft_karp,
     max_clique_cobipartite,
     min_cobipartite_edges,
     quick_reject_cobipartite,
@@ -160,19 +159,24 @@ def test_bipartition_agrees_with_oracle():
     assert 100 < hits < 900
 
 
-def test_hopcroft_karp_trivia():
-    left = np.arange(3)
-    right = np.arange(3, 6)
-    empty = {l: np.empty(0, dtype=np.int64) for l in range(3)}
-    assert hopcroft_karp(left, right, empty.__getitem__).size == 0
-    full = {l: np.arange(3, 6) for l in range(3)}
-    res = hopcroft_karp(left, right, full.__getitem__)
-    assert res.size == 3
-    for l in range(3):
-        assert res.pair[res.pair[l]] == l
+def _cobipartite_from_cross(a, b, comp) -> Graph:
+    """Left clique 0..a-1, right clique a..a+b-1; the cross complement
+    (the non-adjacent left/right pairs) is the bipartite graph `comp`."""
+    edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+    edges += [(u, v) for u in range(a, a + b) for v in range(u + 1, a + b)]
+    edges += [(l, r) for l in range(a) for r in range(a, a + b) if r not in comp[l]]
+    return Graph.from_edges(a + b, edges)
 
 
-def test_hopcroft_karp_matches_oracle():
+def test_cross_matching_trivia():
+    # Koenig: maximum clique = a + b - (maximum matching of the cross complement)
+    empty = {l: set() for l in range(3)}
+    assert max_clique_cobipartite(_cobipartite_from_cross(3, 3, empty)).size == 6
+    full = {l: set(range(3, 6)) for l in range(3)}
+    assert max_clique_cobipartite(_cobipartite_from_cross(3, 3, full)).size == 3
+
+
+def test_cross_matching_matches_oracle():
     rng = np.random.default_rng(13)
     for _ in range(1000):
         a = int(rng.integers(0, 21))
@@ -182,13 +186,11 @@ def test_hopcroft_karp_matches_oracle():
             l: np.flatnonzero(rng.random(b) < p) + a
             for l in range(a)
         }
-        res = hopcroft_karp(np.arange(a), np.arange(a, a + b), comp.__getitem__)
-        assert res.size == _matching_oracle(range(a), {l: c.tolist() for l, c in comp.items()})
-        matched = [l for l in range(a) if res.pair[l] != -1]
-        assert len(matched) == res.size
-        for l in matched:
-            r = res.pair[l]
-            assert res.pair[r] == l and r in comp[l]
+        nu = _matching_oracle(range(a), {l: c.tolist() for l, c in comp.items()})
+        g = _cobipartite_from_cross(a, b, {l: set(c.tolist()) for l, c in comp.items()})
+        clique = max_clique_cobipartite(g)
+        assert _is_clique(_adj_sets(g), clique.tolist())
+        assert clique.size == a + b - nu
 
 
 def test_max_clique_cobipartite_trivia():
@@ -231,9 +233,8 @@ def test_clique_plus_cover_is_everything():
         left = np.flatnonzero(~res.side)
         right = np.flatnonzero(res.side)
         comp = {
-            int(l): right[~np.isin(right, g.neighbors(int(l)), assume_unique=True)]
+            int(l): right[~np.isin(right, g.neighbors(int(l)), assume_unique=True)].tolist()
             for l in left
         }
-        matching = hopcroft_karp(left, right, comp.__getitem__)
         clique = max_clique_cobipartite(g)
-        assert clique.size + matching.size == n
+        assert clique.size + _matching_oracle(left.tolist(), comp) == n
