@@ -32,8 +32,6 @@ from .solver import (
     build_cneeo_greedy,
     oracle_max_clique,
     solve,
-    solve_baseline,
-    solve_heuristic,
     solve_with_cneeo,
     validate_cneeo,
 )
@@ -74,8 +72,6 @@ __all__ = [
     "sample_points",
     "solve",
     "solve_C_for_avg_degree",
-    "solve_baseline",
-    "solve_heuristic",
     "solve_with_cneeo",
     "validate_cneeo",
 ]

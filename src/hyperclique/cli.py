@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: generate, kernel, solve, oracle, validate, fetch-snap, bench.
-Every command writes one JSON document to stdout (pretty by default,
-compact under --json) and diagnostics to stderr.  Exit codes: 0 success /
-exact result, 1 runtime failure or, from validate, an ordering that fails
-the check (`{"valid": false}`), 2 usage error, 3 heuristic result that
-may be below the true optimum.
+`solve` runs `solver.solve` in any of its three modes (geo, nogeo,
+baseline).  Every command writes one JSON document to stdout (pretty by
+default, compact under --json) and diagnostics to stderr.  Exit codes:
+0 success / exact result, 1 runtime failure or, from validate, an
+ordering that fails the check (`{"valid": false}`), 2 usage error, 3 a
+result that may be below the true optimum: the scan left a residual,
+which in geo mode happens only on coordinates not drawn from the
+threshold model.
 """
 
 from __future__ import annotations

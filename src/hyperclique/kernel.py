@@ -42,14 +42,18 @@ def initial_clique(g: Graph) -> np.ndarray:
     Scans vertices by non-increasing degree (ties by ascending id) and
     adopts a vertex when it neighbors every member adopted so far.  A
     per-vertex counter of adopted neighbors makes that test O(1), so the
-    scan costs O(n + m) overall.
+    scan costs O(n + m) overall.  It stops at the first vertex with fewer
+    neighbors than there are members: no later vertex has more.
     """
     if g.n == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((np.arange(g.n), -g.degrees()))
+    deg = g.degrees()
+    order = np.lexsort((np.arange(g.n), -deg))
     counter = np.zeros(g.n, dtype=np.int64)
     members: list[int] = []
     for v in order:
+        if deg[v] < len(members):
+            break
         if counter[v] == len(members):
             members.append(int(v))
             counter[g.neighbors(v)] += 1

@@ -1,10 +1,11 @@
-"""Maximum-clique drivers over co-bipartite edge-elimination orderings.
+"""Maximum clique over co-bipartite edge-elimination orderings.
 
-Exact pipeline: shrink the graph to a kernel, order the kernel's edges so
-that each edge's common neighborhood among later edges induces a
-co-bipartite graph, then solve one bipartite-complement matching problem
-per edge.  The ordering comes from geometry (sort by hyperbolic length)
-or, geometry-free, from a greedy pass that tests candidate edges directly.
+One pipeline, driven by `solve`: shrink the graph to a kernel, order the
+kernel's edges so that each edge's common neighborhood among later edges
+induces a co-bipartite graph, then solve one bipartite-complement
+matching problem per edge.  The mode picks the ordering: geo sorts by
+hyperbolic length, nogeo places edges greedily by testing them directly,
+and baseline filters each edge's lens by length instead of ordering.
 Graphs that admit no such ordering still yield a certified lower bound
 plus the residual subgraph that would hide any larger clique.
 """
@@ -31,12 +32,10 @@ __all__ = [
     "EdgeOrdering",
     "CliqueOutcome",
     "oracle_max_clique",
-    "solve_baseline",
     "build_cneeo_geometric",
     "build_cneeo_greedy",
     "validate_cneeo",
     "solve_with_cneeo",
-    "solve_heuristic",
     "solve",
 ]
 
@@ -130,25 +129,24 @@ class _LiveEdges:
         self.g = g
         self.edges = g.edge_array()
         self.m = self.edges.shape[0]
-        # edge id for the adjacency slot (u -> w): the rank of (min,max) pair
-        keys = self.edges[:, 0] * g.n + self.edges[:, 1]
-        order = np.argsort(keys)
+        # The upper slots (u -> w, u < w) in CSR order are edge_array()'s
+        # rows, so they number the edges.  A lower slot takes its mirror's
+        # id; sorting the slots by (w, u) lists their mirrors in CSR order.
         src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-        slot_lo = np.minimum(src, g.indices)
-        slot_hi = np.maximum(src, g.indices)
-        self.slot_edge = order[np.searchsorted(keys[order], slot_lo * g.n + slot_hi)]
+        upper = src < g.indices
+        upper_id = np.cumsum(upper) - 1
+        mirror = np.lexsort((src, g.indices))
+        self.slot_edge = np.where(upper, upper_id, upper_id[mirror])
         self.edge_alive = np.ones(self.m, dtype=bool)
         self.vert_alive = np.ones(g.n, dtype=bool)
         self.live_deg = g.degrees().astype(np.int64)
-        self._key_rank = (keys[order], order)
 
     def edge_id(self, u: int, v: int) -> int:
-        lo, hi = (u, v) if u < v else (v, u)
-        keys, order = self._key_rank
-        pos = int(np.searchsorted(keys, lo * self.g.n + hi))
-        if pos >= keys.size or keys[pos] != lo * self.g.n + hi:
+        lo, hi = self.g.indptr[u], self.g.indptr[u + 1]
+        pos = lo + int(np.searchsorted(self.g.indices[lo:hi], v))
+        if pos >= hi or self.g.indices[pos] != v:
             raise KeyError(f"no edge ({u}, {v})")
-        return int(order[pos])
+        return int(self.slot_edge[pos])
 
     def live_neighbors(self, u: int) -> np.ndarray:
         lo, hi = self.g.indptr[u], self.g.indptr[u + 1]
@@ -234,6 +232,10 @@ def _prune_vertex(live: _LiveEdges, w: int, threshold: int, on_death=None) -> No
                     stack.append(y)
 
 
+class _NotCneeo(RuntimeError):
+    """A scanned lens is not co-bipartite, so the ordering is not a CNEEO."""
+
+
 def solve_with_cneeo(g: Graph, L: EdgeOrdering, variant: str = "opt") -> CliqueOutcome:
     """Scan a complete ordering, solving one co-bipartite problem per edge.
 
@@ -285,7 +287,7 @@ def solve_with_cneeo(g: Graph, L: EdgeOrdering, variant: str = "opt") -> CliqueO
                 continue
         found = _solve_lens(g, members, timings)
         if found is None:
-            raise RuntimeError("ordering is not a CNEEO: non-co-bipartite subgraph")
+            raise _NotCneeo("ordering is not a CNEEO: non-co-bipartite subgraph")
         if found.size + 2 > best.size:
             best = np.sort(np.concatenate([found, [u, v]]))
         live.consume(eid)
@@ -322,7 +324,7 @@ def build_cneeo_geometric(g: Graph) -> EdgeOrdering:
 
 
 class _GreedyScan:
-    """FIFO active-edge loop shared by the builder and the heuristic solver.
+    """FIFO active-edge loop shared by `build_cneeo_greedy` and nogeo's scan.
 
     Edges are tested in queue order; a passing edge is placed and removed.
     An edge's test depends only on the live neighborhoods of its
@@ -345,38 +347,35 @@ class _GreedyScan:
                     self.in_queue[other] = True
                     self.queue.append(int(other))
 
-    def run(self, on_pass=None, prune_threshold=None, timings=None) -> bool:
+    def run(self, on_pass, prune_threshold, timings: dict) -> bool:
         """Greedy pass; returns True when every live edge got placed.
 
         `on_pass(u, v, sub, ids, split)` is invoked for each placed edge
         before it is consumed; `prune_threshold()` supplies the lazy
-        deletion bound (None disables pruning).
+        deletion bound (0 never prunes).  Test time goes to
+        `timings["cneeo"]`.
         """
         live = self.live
-        tick = time.perf_counter if timings is not None else None
         while self.queue:
             eid = self.queue.popleft()
             self.in_queue[eid] = False
             if not live.edge_alive[eid]:
                 continue
             u, v = (int(x) for x in live.edges[eid])
-            if prune_threshold is not None:
-                k = prune_threshold()
-                dead = False
-                for w in (u, v):
-                    if live.vert_alive[w] and live.live_deg[w] < k:
-                        _prune_vertex(live, w, k, self.reactivate_incident)
-                        dead = True
-                if dead and not live.edge_alive[eid]:
-                    continue
-            t0 = tick() if tick else 0.0
+            k = prune_threshold()
+            dead = False
+            for w in (u, v):
+                if live.vert_alive[w] and live.live_deg[w] < k:
+                    _prune_vertex(live, w, k, self.reactivate_incident)
+                    dead = True
+            if dead and not live.edge_alive[eid]:
+                continue
+            t0 = time.perf_counter()
             sub, ids, split = _test_lens(live.g, live.live_common(u, v))
-            if timings is not None:
-                timings["cneeo"] += (tick() - t0) * 1e3
+            timings["cneeo"] += (time.perf_counter() - t0) * 1e3
             if split is None:
                 continue  # inactive until an incident edge dies
-            if on_pass is not None:
-                on_pass(u, v, sub, ids, split)
+            on_pass(u, v, sub, ids, split)
             self.placed.append((u, v))
             live.consume(eid)
             self.reactivate_incident(eid)
@@ -386,12 +385,8 @@ class _GreedyScan:
 def build_cneeo_greedy(g: Graph) -> EdgeOrdering:
     """Greedy ordering construction; aborts when no remaining edge passes."""
     scan = _GreedyScan(g)
-    complete = scan.run()
-    edges = (
-        np.asarray(scan.placed, dtype=np.int64).reshape(-1, 2)
-        if scan.placed
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    complete = scan.run(lambda *placed: None, lambda: 0, {"cneeo": 0.0})
+    edges = np.asarray(scan.placed, dtype=np.int64).reshape(-1, 2)
     return EdgeOrdering(edges, "greedy", complete)
 
 
@@ -416,147 +411,123 @@ def validate_cneeo(g: Graph, L: EdgeOrdering) -> bool:
     return True
 
 
-def solve_heuristic(g: Graph) -> CliqueOutcome:
-    """Kernelize, then greedily place and solve edges until none passes.
+def _greedy_scan(kernel: Graph, k: int, timings: dict) -> tuple:
+    """Greedily place the kernel's edges, solving each lens as it is placed.
 
-    Placed-edge subproblems are solved as they are placed, reusing the
-    test's bipartition.  The result is exact when every kernel edge was
-    placed; otherwise the unplaced live edges form the residual subgraph
-    that would contain any clique larger than the reported one.
+    A placed edge's lens is solved with the test's bipartition, unless it
+    is too small to beat the incumbent of size k.  The scan is complete
+    when every edge was placed; otherwise the live edges left form the
+    residual subgraph that would contain any clique larger than the
+    reported one.
     """
-    t_start = time.perf_counter()
-    kr = kernelize(g)
-    timings = {"init": kr.timings["init"], "kernel": kr.timings["kernel"],
-               "cneeo": 0.0, "const": 0.0, "indep": 0.0}
-    best = kr.initial_clique  # original ids, sorted
+    best = np.empty(0, dtype=np.int64)
 
-    if kr.kernel.size:
-        sub, ids = induced_subgraph(g, kr.kernel)
-        scan = _GreedyScan(sub)
-        state = {"best": best}
+    def on_pass(u, v, sub, ids, split):
+        nonlocal best, k
+        if sub.n + 2 < k:
+            return
+        t0 = time.perf_counter()
+        local = max_clique_cobipartite(sub, split)
+        timings["indep"] += (time.perf_counter() - t0) * 1e3
+        if local.size + 2 > k:
+            best = np.concatenate([ids[local], [u, v]])
+            k = best.size
 
-        def on_pass(u, v, lens_sub, lens_ids, split):
-            k = state["best"].size
-            if lens_sub.n + 2 < k:
-                return
-            t0 = time.perf_counter()
-            local = max_clique_cobipartite(lens_sub, split)
-            timings["indep"] += (time.perf_counter() - t0) * 1e3
-            if local.size + 2 > k:
-                members = np.concatenate([lens_ids[local], [u, v]])
-                state["best"] = np.sort(ids[members])
-
-        complete = scan.run(
-            on_pass=on_pass,
-            prune_threshold=lambda: state["best"].size,
-            timings=timings,
-        )
-        best = state["best"]
-        v_left, e_left = scan.live.residuals()
-    else:
-        complete, v_left, e_left = True, 0, 0
-
-    total = (time.perf_counter() - t_start) * 1e3
-    return CliqueOutcome(
-        clique=best,
-        omega_eval=int(best.size),
-        exact=bool(complete),
-        residual_vertices=0 if complete else v_left,
-        residual_edges=0 if complete else e_left,
-        kernel_size=int(kr.kernel.size),
-        seed_size=int(kr.initial_clique.size),
-        timings=_finish_timings(timings, total),
-    )
+    scan = _GreedyScan(kernel)
+    scan.run(on_pass, lambda: k, timings)
+    return (best, *scan.live.residuals())
 
 
-def solve_baseline(g: Graph) -> CliqueOutcome:
+def _baseline_scan(kernel: Graph, k: int, timings: dict) -> tuple:
     """Per-edge lens solver: for each kernel edge, the vertices within its
     length of both endpoints form a co-bipartite set on unit-disk inputs.
 
-    Needs coordinates for the length filter.  Edges whose lens is not
-    co-bipartite are recorded as the residual and make the result inexact.
+    Edges whose lens is not co-bipartite form the residual.
     """
-    if g.coords is None:
-        raise ValueError("baseline requires coordinates")
-    t_start = time.perf_counter()
-    kr = kernelize(g)
-    timings = {"init": kr.timings["init"], "kernel": kr.timings["kernel"],
-               "cneeo": 0.0, "const": 0.0, "indep": 0.0}
-    best = kr.initial_clique
-
-    sub, ids = induced_subgraph(g, kr.kernel)
-    r, phi = sub.coords.r, sub.coords.phi
-    edges = sub.edge_array()
+    r, phi = kernel.coords.r, kernel.coords.phi
+    best = np.empty(0, dtype=np.int64)
     failed: list = []
-    for u, v in edges:
+    for u, v in kernel.edge_array():
         u, v = int(u), int(v)
         t0 = time.perf_counter()
         # compare in the cosh domain: monotone, no inverse trig needed
         cosh_len = cosh_distance(r[u], phi[u], r[v], phi[v])
-        common = np.intersect1d(sub.neighbors(u), sub.neighbors(v), assume_unique=True)
+        common = np.intersect1d(kernel.neighbors(u), kernel.neighbors(v), assume_unique=True)
         near_u = cosh_distance(r[common], phi[common], r[u], phi[u]) <= cosh_len
         near_v = cosh_distance(r[common], phi[common], r[v], phi[v]) <= cosh_len
         keep = common[near_u & near_v]
         timings["const"] += (time.perf_counter() - t0) * 1e3
-        found = _solve_lens(sub, keep, timings)
+        found = _solve_lens(kernel, keep, timings)
         if found is None:
             failed.append((u, v))
-            continue
-        if found.size + 2 > best.size:
-            best = np.sort(ids[np.concatenate([found, [u, v]])])
+        elif found.size + 2 > k:
+            best = np.concatenate([found, [u, v]])
+            k = best.size
+    return best, np.unique(np.asarray(failed, dtype=np.int64)).size, len(failed)
 
-    exact = not failed
-    v_left = int(np.unique(np.asarray(failed, dtype=np.int64)).size) if failed else 0
-    total = (time.perf_counter() - t_start) * 1e3
-    return CliqueOutcome(
-        clique=best,
-        omega_eval=int(best.size),
-        exact=exact,
-        residual_vertices=v_left,
-        residual_edges=len(failed),
-        kernel_size=int(kr.kernel.size),
-        seed_size=int(kr.initial_clique.size),
-        timings=_finish_timings(timings, total),
-    )
+
+def _geo_scan(kernel: Graph, k: int, timings: dict, variant: str) -> tuple:
+    """Scan the kernel's length-sorted ordering with `solve_with_cneeo`.
+
+    Coordinates not drawn from the threshold model can make a lens
+    non-co-bipartite; the kernel then goes to the greedy scan instead,
+    and the result is exact only if that scan completes.
+    """
+    t0 = time.perf_counter()
+    L = build_cneeo_geometric(kernel)
+    timings["cneeo"] += (time.perf_counter() - t0) * 1e3
+    try:
+        inner = solve_with_cneeo(kernel, L, variant)
+    except _NotCneeo:
+        return _greedy_scan(kernel, k, timings)
+    timings["const"] += inner.timings["const"]
+    timings["indep"] += inner.timings["indep"]
+    return inner.clique, 0, 0
+
+
+def _is_clique(g: Graph, ids: np.ndarray) -> bool:
+    """Whether the distinct vertices `ids` are pairwise adjacent in g."""
+    hits = sum(int(np.isin(g.neighbors(int(u)), ids).sum()) for u in ids)
+    return hits == ids.size * (ids.size - 1)
 
 
 def solve(g: Graph, mode: str = "geo", variant: str = "opt") -> CliqueOutcome:
-    """Dispatch: geo = geometric CNEEO over the kernel; nogeo = greedy
-    heuristic (exact whenever the ordering completes); baseline = per-edge
-    lens solver."""
-    if mode == "nogeo":
-        return solve_heuristic(g)
-    if mode == "baseline":
-        return solve_baseline(g)
-    if mode != "geo":
+    """Maximum clique of g through the kernel and one lens per kernel edge.
+
+    Modes: geo scans the length-sorted ordering (variants red, skip, opt;
+    see `solve_with_cneeo`); nogeo places edges greedily; baseline solves
+    each edge's length-filtered lens.  geo and baseline need coordinates.
+    The result is the greedy seed clique unless the scan found a larger
+    one, and it is exact when the scan left no residual edge.
+    """
+    scans = {
+        "geo": lambda kernel, k, timings: _geo_scan(kernel, k, timings, variant),
+        "nogeo": _greedy_scan,
+        "baseline": _baseline_scan,
+    }
+    if mode not in scans:
         raise ValueError(f"unknown mode {mode!r}")
-    if g.coords is None:
-        raise ValueError("geo mode requires coordinates")
+    if mode != "nogeo" and g.coords is None:
+        raise ValueError(f"{mode} mode requires coordinates")
 
     t_start = time.perf_counter()
     kr = kernelize(g)
-    timings = {"init": kr.timings["init"], "kernel": kr.timings["kernel"]}
+    timings = {"init": kr.timings["init"], "kernel": kr.timings["kernel"],
+               "cneeo": 0.0, "const": 0.0, "indep": 0.0}
     sub, ids = induced_subgraph(g, kr.kernel)
-    t0 = time.perf_counter()
-    L = build_cneeo_geometric(sub)
-    timings["cneeo"] = (time.perf_counter() - t0) * 1e3
-    inner = solve_with_cneeo(sub, L, variant)
-    timings["const"] = inner.timings["const"]
-    timings["indep"] = inner.timings["indep"]
+    found, v_left, e_left = scans[mode](sub, int(kr.initial_clique.size), timings)
 
     best = kr.initial_clique
-    if inner.omega_eval > best.size:
-        best = np.sort(ids[inner.clique])
-    if __debug__ and best.size:
-        for i, u in enumerate(best[:-1]):
-            assert np.isin(best[i + 1:], g.neighbors(int(u))).all()
+    if found.size > best.size:
+        best = np.sort(ids[found])
+    assert _is_clique(g, best), "solver returned a non-clique"
     total = (time.perf_counter() - t_start) * 1e3
     return CliqueOutcome(
         clique=best,
         omega_eval=int(best.size),
-        exact=True,
-        residual_vertices=0,
-        residual_edges=0,
+        exact=e_left == 0,
+        residual_vertices=v_left,
+        residual_edges=e_left,
         kernel_size=int(kr.kernel.size),
         seed_size=int(kr.initial_clique.size),
         timings=_finish_timings(timings, total),

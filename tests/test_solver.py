@@ -18,8 +18,6 @@ from hyperclique.solver import (
     build_cneeo_greedy,
     oracle_max_clique,
     solve,
-    solve_baseline,
-    solve_heuristic,
     solve_with_cneeo,
     validate_cneeo,
 )
@@ -133,6 +131,12 @@ def test_geometric_ordering_validates_and_reverse_fails():
     assert validate_cneeo(g, L)
     rev = EdgeOrdering(L.edges[::-1].copy(), L.kind, True)
     assert not validate_cneeo(g, rev)
+    # the last edge swapped for a pair that is not an edge
+    u = int(L.edges[-1, 0])
+    far = np.setdiff1d(np.arange(g.n), np.append(g.neighbors(u), u))[0]
+    miss = L.edges.copy()
+    miss[-1] = (u, far)
+    assert not validate_cneeo(g, EdgeOrdering(miss, L.kind, True))
 
 
 def test_greedy_completes_on_cycle_and_validates():
@@ -222,7 +226,7 @@ def test_solve_dispatch_edge_cases():
     with pytest.raises(ValueError):
         solve(_cycle(5), "geo")  # no coordinates
     with pytest.raises(ValueError):
-        solve_baseline(_cycle(5))
+        solve(_cycle(5), "baseline")
     with pytest.raises(ValueError):
         solve(_cycle(5), "fancy")
 
@@ -248,6 +252,21 @@ def test_all_modes_agree_with_oracle_on_hrgs():
             assert out.clique.size == expect
             _check_clique(g, out.clique)
             assert out.residual_vertices == 0 and out.residual_edges == 0
+
+
+def test_geo_falls_back_on_permuted_coords():
+    # coordinates shuffled among the vertices (same edges) break the
+    # length-sorted ordering; geo then scans the kernel greedily
+    g = generate(400, 0.6, 3, avg_degree=20.0)
+    expect = solve(g, "geo").omega_eval
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(g.n)
+        h = Graph(g.n, g.indptr, g.indices, g.coords[perm])
+        out = solve(h, "geo")
+        _check_clique(h, out.clique)
+        assert out.exact == (out.residual_edges == 0)
+        if out.exact:
+            assert out.omega_eval == expect
 
 
 def test_solve_is_deterministic():
@@ -286,7 +305,7 @@ def test_heuristic_bounds_on_random_graphs():
         n = int(rng.integers(8, 61))
         p = float(rng.choice([0.2, 0.5]))
         g = _random_graph(rng, n, p)
-        out = solve_heuristic(g)
+        out = solve(g, "nogeo")
         w = _clique_number(g)
         _check_clique(g, out.clique)
         assert out.omega_eval <= w
@@ -298,7 +317,7 @@ def test_heuristic_bounds_on_random_graphs():
 
 
 def test_heuristic_residuals_on_abort_gadget():
-    out = solve_heuristic(_k333())
+    out = solve(_k333(), "nogeo")
     assert out.omega_eval == 3  # one vertex per class
     assert not out.exact
     assert out.residual_vertices == 9
