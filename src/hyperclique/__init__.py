@@ -12,7 +12,6 @@ from .geometry import (
 )
 from .graphs import (
     Graph,
-    common_neighbors,
     fetch_snap,
     induced_subgraph,
     load_graph,
@@ -52,7 +51,6 @@ __all__ = [
     "build_cneeo_geometric",
     "build_cneeo_greedy",
     "build_graph",
-    "common_neighbors",
     "complement_bipartition",
     "distance",
     "expected_avg_degree",

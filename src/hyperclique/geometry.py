@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,10 +73,6 @@ class Points:
         if isinstance(i, (slice, np.ndarray, list)):
             return Points(self.r[i], self.phi[i])
         return PolarPoint(float(self.r[i]), float(self.phi[i]))
-
-    def __iter__(self) -> Iterator[PolarPoint]:
-        for a, b in zip(self.r, self.phi):
-            yield PolarPoint(float(a), float(b))
 
 
 def angular_difference(phi_u, phi_v):
@@ -151,6 +146,8 @@ def intersection_measure(r: float, params: HrgParams) -> float:
     def arc_mass(x: float) -> float:
         theta = _lens_angle(x, r, cosh_r, sinh_r, cosh_R)
         return float(radial_density(x, params)) * theta / math.pi
+
+    from scipy import integrate  # its only user; keeps it out of the package import
 
     tail, _ = integrate.quad(arc_mass, max(inner, 0.0), R, epsabs=1e-8, limit=200)
     return full + tail

@@ -103,21 +103,15 @@ class Graph:
         mask = src < self.indices
         return np.column_stack([src[mask], self.indices[mask]])
 
-    def edges(self):
-        for u, v in self.edge_array():
-            yield int(u), int(v)
+    def dense(self) -> np.ndarray:
+        """Adjacency as an n x n boolean matrix (n^2 bytes), false diagonal."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = True
+        return adj
 
     def __repr__(self) -> str:
         tag = ", coords" if self.coords is not None else ""
         return f"Graph(n={self.n}, m={self.m}{tag})"
-
-
-def common_neighbors(g: Graph, u: int, v: int, within: np.ndarray | None = None) -> np.ndarray:
-    """Sorted common neighborhood of u and v; `within` is an optional bool mask."""
-    ids = np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True)
-    if within is not None:
-        ids = ids[within[ids]]
-    return ids
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:

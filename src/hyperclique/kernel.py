@@ -66,18 +66,24 @@ def peel(g: Graph, k: int, order=None) -> np.ndarray:
     The result is order-independent; `order` (a vertex permutation) only
     changes the deletion sequence and exists so tests can verify that.
     The default path deletes every sub-threshold vertex in vectorized
-    rounds instead of one at a time.
+    rounds instead of one at a time, subtracting the deleted vertices'
+    neighbor counts from the live degrees, so the rounds together read
+    each adjacency slot once.
     """
     if k <= 0:
         return np.arange(g.n, dtype=np.int64)
     alive = np.ones(g.n, dtype=bool)
     if order is None:
-        while True:
-            deg = _live_degrees(g, alive)
-            kill = np.flatnonzero(alive & (deg < k))
-            if kill.size == 0:
-                return np.flatnonzero(alive)
+        deg = g.degrees().astype(np.int64)
+        kill = np.flatnonzero(deg < k)
+        while kill.size:
             alive[kill] = False
+            lo, count = g.indptr[kill], np.diff(g.indptr)[kill]
+            # the slots lo[i] .. lo[i] + count[i] - 1 of every killed vertex
+            slots = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+            deg -= np.bincount(g.indices[slots], minlength=g.n)
+            kill = np.flatnonzero(alive & (deg < k))
+        return np.flatnonzero(alive)
     seq = np.asarray(order, dtype=np.int64)
     if seq.shape[0] != g.n or not np.array_equal(np.sort(seq), np.arange(g.n)):
         raise ValueError("order must be a permutation of all vertices")

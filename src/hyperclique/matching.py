@@ -3,9 +3,11 @@
 A graph is co-bipartite when its complement is bipartite.  Its maximum
 clique is the complement's maximum independent set, which Koenig's theorem
 recovers from a maximum matching.  The graphs solved here are lenses of a
-kernel, at most a few hundred vertices, so the complement is held as one
-dense boolean matrix: the 2-coloring walks it one BFS level at a time, and
-the matching runs scipy's compiled Hopcroft-Karp on its cross block.
+kernel, at most a few hundred vertices, and each function takes one as
+its dense boolean adjacency matrix (symmetric, false diagonal): a block
+of the kernel's own matrix.  The 2-coloring walks the complement one BFS
+level at a time, and the matching runs scipy's compiled Hopcroft-Karp on
+its cross block.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
-
-from .graphs import Graph
 
 __all__ = [
     "Bipartition",
@@ -56,26 +56,13 @@ def min_cobipartite_edges(nv: int) -> int:
     return lo * (lo - 1) // 2 + hi * (hi - 1) // 2
 
 
-def quick_reject_cobipartite(sub: Graph) -> bool:
+def quick_reject_cobipartite(adj: np.ndarray) -> bool:
     """True when the edge count alone rules out co-bipartiteness."""
-    return sub.m < min_cobipartite_edges(sub.n)
+    return np.count_nonzero(adj) // 2 < min_cobipartite_edges(adj.shape[0])
 
 
-def _edge_sources(g: Graph) -> np.ndarray:
-    """Source vertex of every CSR adjacency slot."""
-    return np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-
-
-def _complement(sub: Graph) -> np.ndarray:
-    """Dense adjacency matrix of the complement of `sub`, no self-loops."""
-    comp = np.ones((sub.n, sub.n), dtype=bool)
-    comp[_edge_sources(sub), sub.indices] = False
-    np.fill_diagonal(comp, False)
-    return comp
-
-
-def complement_bipartition(sub: Graph) -> Bipartition | OddCycle:
-    """2-color the complement of `sub`, or return an odd complement cycle.
+def complement_bipartition(adj: np.ndarray) -> Bipartition | OddCycle:
+    """2-color the complement of `adj`, or return an odd complement cycle.
 
     BFS over the complement one whole level at a time, roots in id order
     and on side False.  A BFS edge joins equal or adjacent levels, so the
@@ -84,11 +71,13 @@ def complement_bipartition(sub: Graph) -> Bipartition | OddCycle:
     Vertices adjacent to every other vertex are their own components and
     are colored up front.
     """
-    comp = _complement(sub)
-    side = np.zeros(sub.n, dtype=bool)
+    n = adj.shape[0]
+    comp = ~adj
+    np.fill_diagonal(comp, False)
+    side = np.zeros(n, dtype=bool)
     colored = ~comp.any(axis=1)
-    parent = np.full(sub.n, -1, dtype=np.int64)
-    depth = np.zeros(sub.n, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
     while not colored.all():
         level = np.flatnonzero(~colored)[:1]
         colored[level] = True
@@ -125,7 +114,7 @@ def _odd_cycle(parent: np.ndarray, depth: np.ndarray, u: int, w: int) -> np.ndar
     return np.asarray(cycle, dtype=np.int64)
 
 
-def max_clique_cobipartite(sub: Graph, split: Bipartition | None = None) -> np.ndarray:
+def max_clique_cobipartite(adj: np.ndarray, split: Bipartition | None = None) -> np.ndarray:
     """Maximum clique of a co-bipartite graph, as sorted vertex ids.
 
     Koenig: a minimum vertex cover of the bipartite complement is the
@@ -133,16 +122,19 @@ def max_clique_cobipartite(sub: Graph, split: Bipartition | None = None) -> np.n
     from free left vertices; the clique is everything outside the cover.
     That cover is the same for every maximum matching, so the clique does
     not depend on which one the matcher returns.  Callers that already
-    hold the complement bipartition can pass it in.  Raises ValueError
-    when the complement is not bipartite.
+    hold the complement bipartition can pass it in.  A bipartition with
+    an empty side B means the graph is complete: it is its own clique.
+    Raises ValueError when the complement is not bipartite.
     """
     if split is None:
-        split = complement_bipartition(sub)
+        split = complement_bipartition(adj)
     if isinstance(split, OddCycle):
         raise ValueError("graph is not co-bipartite")
+    if not split.side.any():
+        return np.arange(adj.shape[0], dtype=np.int64)
     left = np.flatnonzero(~split.side)
     right = np.flatnonzero(split.side)
-    cross = _complement(sub)[np.ix_(left, right)]
+    cross = ~adj[np.ix_(left, right)]
     indptr = np.zeros(left.size + 1, dtype=np.int32)
     np.cumsum(cross.sum(axis=1), out=indptr[1:])
     cols = np.nonzero(cross)[1].astype(np.int32)
@@ -164,12 +156,12 @@ def max_clique_cobipartite(sub: Graph, split: Bipartition | None = None) -> np.n
         reached_right |= fresh
         frontier = mate_of_right[fresh]
         reached_left[frontier] = True
-    keep = np.zeros(sub.n, dtype=bool)
+    keep = np.zeros(adj.shape[0], dtype=bool)
     keep[left[reached_left]] = True
     keep[right[~reached_right]] = True
     clique = np.flatnonzero(keep)
     if __debug__:
-        inside = keep[_edge_sources(sub)] & keep[sub.indices]
+        inside = adj[np.ix_(clique, clique)]
         assert np.count_nonzero(inside) == clique.size * (clique.size - 1), \
             "cover recovery produced a non-clique"
     return clique

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 ORACLE_LIMIT = 120
+VARIANTS = ("red", "skip", "opt")
 PHASES = ("init", "kernel", "cneeo", "const", "indep", "other", "total")
 
 
@@ -117,119 +118,90 @@ def oracle_max_clique(g: Graph) -> np.ndarray:
     return np.asarray(best[1], dtype=np.int64)
 
 
-class _LiveEdges:
-    """Shared live-edge bookkeeping for edge-elimination scans.
+class _Live:
+    """Live edges of a scanned graph, as dense boolean rows.
 
-    Holds one edge id per undirected edge, a per-adjacency-slot edge index,
-    aliveness flags, and live degrees.  All scan drivers funnel edge
-    removals through here so their neighborhood queries agree.
+    `adj` is the graph's adjacency and never changes; `live` starts as a
+    copy and loses each edge a scan consumes; `deg` counts live edges and
+    `alive` marks the vertices not yet deleted.  Every scan keeps its
+    bookkeeping here, so their neighborhood queries agree.  The rows take
+    n^2 bytes, which suits kernels and graphs of a few thousand vertices.
     """
 
     def __init__(self, g: Graph):
-        self.g = g
-        self.edges = g.edge_array()
-        self.m = self.edges.shape[0]
-        # The upper slots (u -> w, u < w) in CSR order are edge_array()'s
-        # rows, so they number the edges.  A lower slot takes its mirror's
-        # id; sorting the slots by (w, u) lists their mirrors in CSR order.
-        src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-        upper = src < g.indices
-        upper_id = np.cumsum(upper) - 1
-        mirror = np.lexsort((src, g.indices))
-        self.slot_edge = np.where(upper, upper_id, upper_id[mirror])
-        self.edge_alive = np.ones(self.m, dtype=bool)
-        self.vert_alive = np.ones(g.n, dtype=bool)
-        self.live_deg = g.degrees().astype(np.int64)
+        self.adj = g.dense()
+        self.live = self.adj.copy()
+        self.deg = g.degrees().astype(np.int64)
+        self.alive = np.ones(g.n, dtype=bool)
 
-    def edge_id(self, u: int, v: int) -> int:
-        lo, hi = self.g.indptr[u], self.g.indptr[u + 1]
-        pos = lo + int(np.searchsorted(self.g.indices[lo:hi], v))
-        if pos >= hi or self.g.indices[pos] != v:
-            raise KeyError(f"no edge ({u}, {v})")
-        return int(self.slot_edge[pos])
+    def common(self, u: int, v: int) -> np.ndarray:
+        """Sorted alive vertices joined to both u and v by live edges."""
+        return np.flatnonzero(self.live[u] & self.live[v] & self.alive)
 
-    def live_neighbors(self, u: int) -> np.ndarray:
-        lo, hi = self.g.indptr[u], self.g.indptr[u + 1]
-        nb = self.g.indices[lo:hi]
-        keep = self.edge_alive[self.slot_edge[lo:hi]] & self.vert_alive[nb]
-        return nb[keep]
+    def consume(self, u: int, v: int) -> None:
+        if self.live[u, v]:
+            self.live[u, v] = self.live[v, u] = False
+            self.deg[u] -= 1
+            self.deg[v] -= 1
 
-    def live_common(self, u: int, v: int) -> np.ndarray:
-        return np.intersect1d(
-            self.live_neighbors(u), self.live_neighbors(v), assume_unique=True
-        )
-
-    def consume(self, eid: int) -> None:
-        if self.edge_alive[eid]:
-            self.edge_alive[eid] = False
-            u, v = self.edges[eid]
-            self.live_deg[u] -= 1
-            self.live_deg[v] -= 1
-
-    def delete_vertex(self, w: int) -> list:
-        """Remove w and its live edges; returns the killed edge ids."""
-        self.vert_alive[w] = False
-        lo, hi = self.g.indptr[w], self.g.indptr[w + 1]
-        eids = self.slot_edge[lo:hi]
-        killed = [int(e) for e in eids[self.edge_alive[eids]]]
-        for e in killed:
-            self.consume(e)
-        return killed
-
-    def live_edge_count(self) -> int:
-        return int(self.edge_alive.sum())
+    def prune(self, w: int, threshold: int, on_death=None) -> None:
+        """Cascade-delete w and any neighbor whose live degree drops below
+        threshold, consuming their edges.  `on_death(y)` runs for the other
+        end y of each killed edge, in ascending order of y.
+        """
+        stack = [w]
+        while stack:
+            x = stack.pop()
+            if not self.alive[x]:
+                continue
+            self.alive[x] = False
+            nb = np.flatnonzero(self.live[x])
+            self.live[x, nb] = self.live[nb, x] = False
+            self.deg[x] = 0
+            self.deg[nb] -= 1
+            if on_death is not None:
+                for y in nb.tolist():
+                    on_death(y)
+            stack += nb[self.alive[nb] & (self.deg[nb] < threshold)].tolist()
 
     def residuals(self) -> tuple:
-        v_left = int((self.vert_alive & (self.live_deg > 0)).sum())
-        return v_left, self.live_edge_count()
+        """Vertex and edge counts of the live subgraph left."""
+        return int((self.alive & (self.deg > 0)).sum()), int(self.deg.sum()) // 2
 
 
-def _test_lens(g: Graph, members: np.ndarray) -> tuple[Graph, np.ndarray, Bipartition | None]:
+def _test_lens(adj: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, Bipartition | None]:
     """The co-bipartite test of the lens on `members`.
 
-    Returns (sub, ids, split): the induced subgraph, its original ids, and
-    the complement bipartition, or None in its place when the lens is not
-    co-bipartite.
+    Returns (lens, split): the lens's block of `adj`, and its complement
+    bipartition, or None in its place when the lens is not co-bipartite.
     """
-    sub, ids = induced_subgraph(g, members)
-    if quick_reject_cobipartite(sub):
-        return sub, ids, None
-    split = complement_bipartition(sub)
-    return sub, ids, split if isinstance(split, Bipartition) else None
+    lens = adj[np.ix_(members, members)]
+    if quick_reject_cobipartite(lens):
+        return lens, None
+    split = complement_bipartition(lens)
+    return lens, split if isinstance(split, Bipartition) else None
 
 
-def _solve_lens(g: Graph, members: np.ndarray, timings: dict) -> np.ndarray | None:
-    """Maximum clique of the subgraph induced on `members`, or None.
+def _solve_lens(adj: np.ndarray, members: np.ndarray, timings: dict) -> np.ndarray | None:
+    """Maximum clique of the lens on `members`, as rows of `adj`, or None.
 
-    None means the subgraph is not co-bipartite.  The two scan endpoints
+    None means the lens is not co-bipartite.  The two scan endpoints
     are not part of `members`; being adjacent to all of it, they extend
     whatever clique comes back.
     """
     t0 = time.perf_counter()
-    sub, ids, split = _test_lens(g, members)
+    lens, split = _test_lens(adj, members)
     t1 = time.perf_counter()
     timings["const"] += (t1 - t0) * 1e3
     if split is None:
         return None
-    local = max_clique_cobipartite(sub, split)
+    local = max_clique_cobipartite(lens, split)
     timings["indep"] += (time.perf_counter() - t1) * 1e3
-    return ids[local]
+    return members[local]
 
 
-def _prune_vertex(live: _LiveEdges, w: int, threshold: int, on_death=None) -> None:
-    """Cascade-delete w and any neighbor whose live degree drops below threshold."""
-    stack = [w]
-    while stack:
-        x = stack.pop()
-        if not live.vert_alive[x]:
-            continue
-        for eid in live.delete_vertex(x):
-            if on_death is not None:
-                on_death(eid)
-            a, b = live.edges[eid]
-            for y in (int(a), int(b)):
-                if y != x and live.vert_alive[y] and live.live_deg[y] < threshold:
-                    stack.append(y)
+def _ids_in_range(edges: np.ndarray, n: int) -> bool:
+    return edges.size == 0 or (edges.min() >= 0 and edges.max() < n)
 
 
 class _NotCneeo(RuntimeError):
@@ -246,51 +218,50 @@ def solve_with_cneeo(g: Graph, L: EdgeOrdering, variant: str = "opt") -> CliqueO
     earlier.  A dropped vertex has degree below a known clique size, so no
     maximum clique loses a member.
     """
-    if variant not in ("red", "skip", "opt"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not L.complete:
         raise ValueError("solve_with_cneeo requires a complete ordering")
+    if not _ids_in_range(L.edges, g.n):
+        raise ValueError("ordering names a vertex outside the graph")
     t_start = time.perf_counter()
     timings = {"const": 0.0, "indep": 0.0}
-    live = _LiveEdges(g)
-    static_deg = g.degrees().astype(np.int64)
-    deleted = np.zeros(g.n, dtype=bool)
+    live = _Live(g)
+    static_deg = g.degrees()
 
     best: np.ndarray = np.empty(0, dtype=np.int64)
     if g.n:
         best = np.asarray([0], dtype=np.int64)
 
-    for u, v in L.edges:
-        u, v = int(u), int(v)
-        eid = live.edge_id(u, v)
-        if not live.edge_alive[eid]:
+    for u, v in L.edges.tolist():
+        if not live.adj[u, v]:
+            raise ValueError(f"ordering holds a non-edge ({u}, {v})")
+        if not live.live[u, v]:
             continue
         k = best.size
         if variant != "red":
+            # skip drops a vertex by its static degree and leaves its edges
+            # to be passed over; opt prunes it with the live cascade
             for w in (u, v):
-                if not deleted[w]:
-                    deg = live.live_deg[w] if variant == "opt" else static_deg[w]
-                    if deg < k:
-                        deleted[w] = True
-                        if variant == "opt":
-                            _prune_vertex(live, w, k)
-                        else:
-                            live.vert_alive[w] = False
-            if deleted[u] or deleted[v]:
-                live.consume(eid)
+                deg = live.deg[w] if variant == "opt" else static_deg[w]
+                if live.alive[w] and deg < k:
+                    if variant == "opt":
+                        live.prune(w, k)
+                    else:
+                        live.alive[w] = False
+            if not (live.alive[u] and live.alive[v]):
+                live.consume(u, v)
                 continue
-        members = live.live_common(u, v)
-        if variant != "red":
-            members = members[~deleted[members]]
-            if members.size + 2 < k:
-                live.consume(eid)
-                continue
-        found = _solve_lens(g, members, timings)
+        members = live.common(u, v)
+        if variant != "red" and members.size + 2 < k:
+            live.consume(u, v)
+            continue
+        found = _solve_lens(live.adj, members, timings)
         if found is None:
             raise _NotCneeo("ordering is not a CNEEO: non-co-bipartite subgraph")
         if found.size + 2 > best.size:
             best = np.sort(np.concatenate([found, [u, v]]))
-        live.consume(eid)
+        live.consume(u, v)
 
     total = (time.perf_counter() - t_start) * 1e3
     return CliqueOutcome(
@@ -326,60 +297,59 @@ def build_cneeo_geometric(g: Graph) -> EdgeOrdering:
 class _GreedyScan:
     """FIFO active-edge loop shared by `build_cneeo_greedy` and nogeo's scan.
 
-    Edges are tested in queue order; a passing edge is placed and removed.
-    An edge's test depends only on the live neighborhoods of its
-    endpoints, so a failed edge needs retesting exactly when some edge
-    sharing one of its endpoints leaves the graph: every removal
-    reactivates its incident edges.
+    Edges are tested in queue order, which starts as `edge_array()`; a
+    passing edge is placed and consumed.  An edge's test depends only on
+    the live neighborhoods of its endpoints, so a failed edge needs
+    retesting exactly when some edge sharing one of its endpoints leaves
+    the graph.  A placed edge uv therefore requeues the live edges of u,
+    then those of v, and an edge xy killed by pruning x requeues y's,
+    each in neighbor order and skipping edges already queued.  `in_queue`
+    marks those as an n x n matrix.
     """
 
     def __init__(self, g: Graph):
-        self.live = _LiveEdges(g)
-        self.in_queue = np.ones(self.live.m, dtype=bool)
-        self.queue = deque(range(self.live.m))
+        self.live = _Live(g)
+        self.in_queue = self.live.adj.copy()
+        self.queue = deque(map(tuple, g.edge_array().tolist()))
         self.placed: list = []
 
-    def reactivate_incident(self, eid: int) -> None:
-        for w in self.live.edges[eid]:
-            lo, hi = self.live.g.indptr[w], self.live.g.indptr[w + 1]
-            for other in self.live.slot_edge[lo:hi]:
-                if self.live.edge_alive[other] and not self.in_queue[other]:
-                    self.in_queue[other] = True
-                    self.queue.append(int(other))
+    def requeue(self, w: int) -> None:
+        fresh = np.flatnonzero(self.live.live[w] & ~self.in_queue[w])
+        self.in_queue[w, fresh] = self.in_queue[fresh, w] = True
+        self.queue.extend((w, z) if w < z else (z, w) for z in fresh.tolist())
 
     def run(self, on_pass, prune_threshold, timings: dict) -> bool:
         """Greedy pass; returns True when every live edge got placed.
 
-        `on_pass(u, v, sub, ids, split)` is invoked for each placed edge
-        before it is consumed; `prune_threshold()` supplies the lazy
+        `on_pass(u, v, members, lens, split)` is invoked for each placed
+        edge before it is consumed; `prune_threshold()` supplies the lazy
         deletion bound (0 never prunes).  Test time goes to
         `timings["cneeo"]`.
         """
         live = self.live
         while self.queue:
-            eid = self.queue.popleft()
-            self.in_queue[eid] = False
-            if not live.edge_alive[eid]:
+            u, v = self.queue.popleft()
+            self.in_queue[u, v] = self.in_queue[v, u] = False
+            if not live.live[u, v]:
                 continue
-            u, v = (int(x) for x in live.edges[eid])
             k = prune_threshold()
-            dead = False
             for w in (u, v):
-                if live.vert_alive[w] and live.live_deg[w] < k:
-                    _prune_vertex(live, w, k, self.reactivate_incident)
-                    dead = True
-            if dead and not live.edge_alive[eid]:
+                if live.alive[w] and live.deg[w] < k:
+                    live.prune(w, k, self.requeue)
+            if not live.live[u, v]:
                 continue
             t0 = time.perf_counter()
-            sub, ids, split = _test_lens(live.g, live.live_common(u, v))
+            members = live.common(u, v)
+            lens, split = _test_lens(live.adj, members)
             timings["cneeo"] += (time.perf_counter() - t0) * 1e3
             if split is None:
                 continue  # inactive until an incident edge dies
-            on_pass(u, v, sub, ids, split)
+            on_pass(u, v, members, lens, split)
             self.placed.append((u, v))
-            live.consume(eid)
-            self.reactivate_incident(eid)
-        return live.live_edge_count() == 0
+            live.consume(u, v)
+            self.requeue(u)
+            self.requeue(v)
+        return live.residuals()[1] == 0
 
 
 def build_cneeo_greedy(g: Graph) -> EdgeOrdering:
@@ -394,20 +364,15 @@ def validate_cneeo(g: Graph, L: EdgeOrdering) -> bool:
     """Check the defining property at every position of a complete ordering."""
     if not L.complete:
         raise ValueError("validation requires a complete ordering")
-    if L.edges.shape[0] != g.m:
+    if L.edges.shape[0] != g.m or not _ids_in_range(L.edges, g.n):
         return False
-    live = _LiveEdges(g)
-    for u, v in L.edges:
-        u, v = int(u), int(v)
-        try:
-            eid = live.edge_id(u, v)
-        except KeyError:
+    live = _Live(g)
+    for u, v in L.edges.tolist():
+        if not live.live[u, v]:
+            return False  # a non-edge or a duplicate entry
+        if _test_lens(live.adj, live.common(u, v))[1] is None:
             return False
-        if not live.edge_alive[eid]:
-            return False  # duplicate entry
-        if _test_lens(g, live.live_common(u, v))[2] is None:
-            return False
-        live.consume(eid)
+        live.consume(u, v)
     return True
 
 
@@ -422,15 +387,15 @@ def _greedy_scan(kernel: Graph, k: int, timings: dict) -> tuple:
     """
     best = np.empty(0, dtype=np.int64)
 
-    def on_pass(u, v, sub, ids, split):
+    def on_pass(u, v, members, lens, split):
         nonlocal best, k
-        if sub.n + 2 < k:
+        if members.size + 2 < k:
             return
         t0 = time.perf_counter()
-        local = max_clique_cobipartite(sub, split)
+        local = max_clique_cobipartite(lens, split)
         timings["indep"] += (time.perf_counter() - t0) * 1e3
         if local.size + 2 > k:
-            best = np.concatenate([ids[local], [u, v]])
+            best = np.concatenate([members[local], [u, v]])
             k = best.size
 
     scan = _GreedyScan(kernel)
@@ -445,19 +410,19 @@ def _baseline_scan(kernel: Graph, k: int, timings: dict) -> tuple:
     Edges whose lens is not co-bipartite form the residual.
     """
     r, phi = kernel.coords.r, kernel.coords.phi
+    live = _Live(kernel)
     best = np.empty(0, dtype=np.int64)
     failed: list = []
-    for u, v in kernel.edge_array():
-        u, v = int(u), int(v)
+    for u, v in kernel.edge_array().tolist():
         t0 = time.perf_counter()
         # compare in the cosh domain: monotone, no inverse trig needed
         cosh_len = cosh_distance(r[u], phi[u], r[v], phi[v])
-        common = np.intersect1d(kernel.neighbors(u), kernel.neighbors(v), assume_unique=True)
+        common = live.common(u, v)
         near_u = cosh_distance(r[common], phi[common], r[u], phi[u]) <= cosh_len
         near_v = cosh_distance(r[common], phi[common], r[v], phi[v]) <= cosh_len
         keep = common[near_u & near_v]
         timings["const"] += (time.perf_counter() - t0) * 1e3
-        found = _solve_lens(kernel, keep, timings)
+        found = _solve_lens(live.adj, keep, timings)
         if found is None:
             failed.append((u, v))
         elif found.size + 2 > k:
@@ -507,6 +472,8 @@ def solve(g: Graph, mode: str = "geo", variant: str = "opt") -> CliqueOutcome:
     }
     if mode not in scans:
         raise ValueError(f"unknown mode {mode!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if mode != "nogeo" and g.coords is None:
         raise ValueError(f"{mode} mode requires coordinates")
 

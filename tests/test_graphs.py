@@ -9,7 +9,6 @@ import pytest
 
 from hyperclique.graphs import (
     Graph,
-    common_neighbors,
     fetch_snap,
     induced_subgraph,
     load_coords,
@@ -58,30 +57,45 @@ def test_adjacency_invariants():
 def test_edge_array_shape_and_order():
     g = Graph.from_edges(4, np.array([[2, 1], [0, 3], [0, 1]]))
     assert g.edge_array().tolist() == [[0, 1], [0, 3], [1, 2]]
-    assert list(g.edges()) == [(0, 1), (0, 3), (1, 2)]
+
+
+def _common(g, u, v, within=None):
+    """Common neighbors of u and v read off the dense rows."""
+    d = g.dense()
+    both = d[u] & d[v]
+    return np.flatnonzero(both if within is None else both & within)
 
 
 def test_common_neighbors_trivia():
     tri = Graph.from_edges(3, np.array([[0, 1], [1, 2], [0, 2]]))
-    assert common_neighbors(tri, 0, 1).tolist() == [2]
+    assert _common(tri, 0, 1).tolist() == [2]
     star = Graph.from_edges(6, np.array([[0, i] for i in range(1, 6)]))
-    assert common_neighbors(star, 1, 2).tolist() == [0]
+    assert _common(star, 1, 2).tolist() == [0]
+    empty = Graph.from_edges(5, np.empty((0, 2), dtype=np.int64))
+    assert empty.dense().shape == (5, 5) and not empty.dense().any()
+    assert Graph.from_edges(0, []).dense().shape == (0, 0)
+    k5 = Graph.from_edges(5, np.array([(i, j) for i in range(5) for j in range(i + 1, 5)]))
+    assert np.array_equal(k5.dense(), ~np.eye(5, dtype=bool))
+    assert _common(k5, 1, 3).tolist() == [0, 2, 4]
 
 
 def test_common_neighbors_matches_set_oracle():
     rng = np.random.default_rng(17)
     g = _random_graph(rng, 200, 0.1)
+    d = g.dense()
+    assert np.array_equal(d, d.T) and not d.diagonal().any()
     adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    assert [set(np.flatnonzero(row).tolist()) for row in d] == adj
     for _ in range(1000):
         u, v = rng.choice(200, size=2, replace=False)
         expect = sorted(adj[int(u)] & adj[int(v)])
-        assert common_neighbors(g, int(u), int(v)).tolist() == expect
+        assert np.flatnonzero(d[int(u)] & d[int(v)]).tolist() == expect
 
 
 def test_common_neighbors_mask_filter():
     tri = Graph.from_edges(4, np.array([[0, 1], [1, 2], [0, 2], [0, 3], [1, 3]]))
     mask = np.array([True, True, False, True])
-    assert common_neighbors(tri, 0, 1, within=mask).tolist() == [3]
+    assert _common(tri, 0, 1, within=mask).tolist() == [3]
 
 
 def test_induced_subgraph_trivia():

@@ -99,8 +99,8 @@ def test_min_cobipartite_edges():
 
 
 def test_quick_reject_basics():
-    assert quick_reject_cobipartite(Graph.from_edges(6, []))
-    assert not quick_reject_cobipartite(_complete(6))
+    assert quick_reject_cobipartite(Graph.from_edges(6, []).dense())
+    assert not quick_reject_cobipartite(_complete(6).dense())
 
 
 def test_quick_reject_never_false_positive():
@@ -110,7 +110,7 @@ def test_quick_reject_never_false_positive():
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         g = _random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
-        if quick_reject_cobipartite(g):
+        if quick_reject_cobipartite(g.dense()):
             rejected += 1
             assert not _cobipartite_oracle(g)
     assert rejected > 50
@@ -119,14 +119,14 @@ def test_quick_reject_never_false_positive():
 def test_bipartition_c4():
     # C4 is K4 minus a perfect matching; complement = the two matched pairs
     g = _cycle(4)
-    res = complement_bipartition(g)
+    res = complement_bipartition(g.dense())
     assert isinstance(res, Bipartition)
     side = res.side
     assert side[0] != side[2] and side[1] != side[3]
 
 
 def test_bipartition_c5_certificate():
-    res = complement_bipartition(_cycle(5))
+    res = complement_bipartition(_cycle(5).dense())
     assert isinstance(res, OddCycle)
     cyc = res.vertices
     assert cyc.size % 2 == 1 and cyc.size >= 3
@@ -141,7 +141,7 @@ def test_bipartition_agrees_with_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         g = _random_graph(rng, n, float(rng.uniform(0.2, 0.95)))
-        res = complement_bipartition(g)
+        res = complement_bipartition(g.dense())
         ok = isinstance(res, Bipartition)
         assert ok == _cobipartite_oracle(g)
         if ok:
@@ -171,9 +171,9 @@ def _cobipartite_from_cross(a, b, comp) -> Graph:
 def test_cross_matching_trivia():
     # Koenig: maximum clique = a + b - (maximum matching of the cross complement)
     empty = {l: set() for l in range(3)}
-    assert max_clique_cobipartite(_cobipartite_from_cross(3, 3, empty)).size == 6
+    assert max_clique_cobipartite(_cobipartite_from_cross(3, 3, empty).dense()).size == 6
     full = {l: set(range(3, 6)) for l in range(3)}
-    assert max_clique_cobipartite(_cobipartite_from_cross(3, 3, full)).size == 3
+    assert max_clique_cobipartite(_cobipartite_from_cross(3, 3, full).dense()).size == 3
 
 
 def test_cross_matching_matches_oracle():
@@ -188,16 +188,16 @@ def test_cross_matching_matches_oracle():
         }
         nu = _matching_oracle(range(a), {l: c.tolist() for l, c in comp.items()})
         g = _cobipartite_from_cross(a, b, {l: set(c.tolist()) for l, c in comp.items()})
-        clique = max_clique_cobipartite(g)
+        clique = max_clique_cobipartite(g.dense())
         assert _is_clique(_adj_sets(g), clique.tolist())
         assert clique.size == a + b - nu
 
 
 def test_max_clique_cobipartite_trivia():
-    assert max_clique_cobipartite(_complete(5)).size == 5
-    assert max_clique_cobipartite(_cycle(4)).size == 2
+    assert max_clique_cobipartite(_complete(5).dense()).size == 5
+    assert max_clique_cobipartite(_cycle(4).dense()).size == 2
     with pytest.raises(ValueError):
-        max_clique_cobipartite(_cycle(5))
+        max_clique_cobipartite(_cycle(5).dense())
 
 
 def test_max_clique_cobipartite_vs_bk():
@@ -211,7 +211,7 @@ def test_max_clique_cobipartite_vs_bk():
                 if split[u] == split[v] or rng.random() < 0.35:
                     edges.append((u, v))
         g = Graph.from_edges(n, edges)
-        clique = max_clique_cobipartite(g)
+        clique = max_clique_cobipartite(g.dense())
         adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
         assert _is_clique(adj, clique.tolist())
         assert clique.size == _bk_max_clique(adj, n)
@@ -228,7 +228,7 @@ def test_clique_plus_cover_is_everything():
                 if split[u] == split[v] or rng.random() < 0.5:
                     edges.append((u, v))
         g = Graph.from_edges(n, edges)
-        res = complement_bipartition(g)
+        res = complement_bipartition(g.dense())
         assert isinstance(res, Bipartition)
         left = np.flatnonzero(~res.side)
         right = np.flatnonzero(res.side)
@@ -236,5 +236,5 @@ def test_clique_plus_cover_is_everything():
             int(l): right[~np.isin(right, g.neighbors(int(l)), assume_unique=True)].tolist()
             for l in left
         }
-        clique = max_clique_cobipartite(g)
+        clique = max_clique_cobipartite(g.dense())
         assert clique.size + _matching_oracle(left.tolist(), comp) == n

@@ -11,6 +11,7 @@ import pytest
 
 from hyperclique.generator import generate
 from hyperclique.graphs import Graph, induced_subgraph
+from hyperclique.kernel import kernelize
 from hyperclique.matching import Bipartition, complement_bipartition
 from hyperclique.solver import (
     EdgeOrdering,
@@ -179,7 +180,7 @@ def test_greedy_aborts_on_tripartite_gadget():
     for u, v in g.edge_array():
         common = np.intersect1d(g.neighbors(int(u)), g.neighbors(int(v)))
         sub, _ = induced_subgraph(g, common)
-        assert not isinstance(complement_bipartition(sub), Bipartition)
+        assert not isinstance(complement_bipartition(sub.dense()), Bipartition)
 
 
 def test_greedy_abort_after_prefix():
@@ -214,6 +215,32 @@ def test_solve_with_cneeo_rejects_bad_input():
     bad = _k333()
     with pytest.raises(RuntimeError):
         solve_with_cneeo(bad, EdgeOrdering(bad.edge_array(), "greedy", True), "red")
+
+
+def test_solve_with_cneeo_rejects_non_edge():
+    g = _cycle(5)
+    holes = g.edge_array().copy()
+    holes[2] = (0, 2)  # not an edge of the 5-cycle
+    for variant in ("red", "skip", "opt"):
+        with pytest.raises(ValueError, match="non-edge"):
+            solve_with_cneeo(g, EdgeOrdering(holes, "greedy", True), variant)
+    with pytest.raises(ValueError):
+        solve_with_cneeo(g, EdgeOrdering(np.array([[0, 5]]), "greedy", True), "red")
+
+
+def test_solve_rejects_unknown_variant_before_kernelizing(monkeypatch):
+    calls = []
+
+    def counting(graph):
+        calls.append(graph.n)
+        return kernelize(graph)
+
+    g = generate(300, 0.75, 5, avg_degree=8.0)
+    monkeypatch.setattr("hyperclique.solver.kernelize", counting)
+    for mode in ("geo", "nogeo", "baseline"):
+        with pytest.raises(ValueError, match="variant"):
+            solve(g, mode, "fast")
+    assert calls == []
 
 
 def test_solve_dispatch_edge_cases():
