@@ -137,13 +137,8 @@ def _build_banded(points: Points, params: HrgParams) -> np.ndarray:
                     if keep.any():
                         parts.append(np.column_stack([uu[keep], vv[keep]]))
 
-    if not parts:
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = np.concatenate(parts, axis=0)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = np.unique(lo * np.int64(n) + hi)
-    return np.column_stack([keys // n, keys % n])
+    # Graph.from_edges drops repeated and reversed pairs; the empty block covers no parts
+    return np.concatenate([np.empty((0, 2), dtype=np.int64), *parts])
 
 
 def build_graph(points: Points, params: HrgParams, method: str = "auto") -> Graph:

@@ -2,7 +2,10 @@
 
 The Graph stores adjacency in CSR form (indptr + sorted indices), which is
 what every algorithm downstream leans on: sorted neighbor arrays make
-merge-intersections and membership tests cheap without hashing.
+merge-intersections and membership tests cheap without hashing.  One
+sort-based build (`Graph.from_edges`) serves generation, subgraphs and
+the loaders.  The TSV loaders parse with numpy's C reader; a file it
+refuses is read again line by line only to name the first bad line.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import gzip
 import os
 import sys
-from dataclasses import dataclass, field
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,21 +69,23 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray, coords: Points | None = None) -> "Graph":
-        """Build from an (m, 2) id array; loops dropped, duplicates collapsed."""
+        """Build from an (m, 2) id array; loops dropped, duplicates collapsed.
+
+        The builders, the loaders and `induced_subgraph` all come here.  One
+        int64 key u * n + v per direction, sorted in place, gives the rows in
+        order; a key equal to its predecessor is a repeat.
+        """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
         edges = edges[edges[:, 0] != edges[:, 1]]
-        both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-        # dedup one direction at a time via a single int64 key
-        keys = both[:, 0] * n + both[:, 1]
-        keys = np.unique(keys)
-        src = keys // n
-        dst = keys % n
+        keys = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+        src, dst = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, dst.astype(np.int64), coords)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(n, indptr, dst, coords)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v (a view, do not mutate)."""
@@ -123,12 +128,12 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     mapping = np.unique(np.asarray(vertices, dtype=np.int64))
     local = np.full(g.n, -1, dtype=np.int64)
     local[mapping] = np.arange(mapping.shape[0])
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    keep = (local[src] >= 0) & (local[g.indices] >= 0)
-    edges = np.column_stack([local[src[keep]], local[g.indices[keep]]])
+    src = np.repeat(local, np.diff(g.indptr))
+    dst = local[g.indices]
+    keep = (src >= 0) & (src < dst)  # both ends kept, each edge once
     coords = g.coords[mapping] if g.coords is not None else None
-    sub = Graph.from_edges(mapping.shape[0], edges, coords)
-    return sub, mapping
+    edges = np.column_stack([src[keep], dst[keep]])
+    return Graph.from_edges(mapping.shape[0], edges, coords), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -137,76 +142,74 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
     """One `u<TAB>v` line per edge, 0-based ids, u < v."""
-    with open(path, "w") as fh:
-        for u, v in g.edge_array():
-            fh.write(f"{u}\t{v}\n")
+    np.savetxt(path, g.edge_array(), fmt="%d", delimiter="\t")
 
 
 def write_coords(points: Points, path: str | Path) -> None:
     """One `id<TAB>r<TAB>phi` line per point, 17 significant digits."""
-    with open(path, "w") as fh:
-        for i in range(len(points)):
-            fh.write(f"{i}\t{points.r[i]:.17g}\t{points.phi[i]:.17g}\n")
+    np.savetxt(path, np.column_stack([np.arange(len(points)), points.r, points.phi]),
+               fmt=["%d", "%.17g", "%.17g"], delimiter="\t")
 
 
-def _parse_pairs(path: str | Path):
-    """Yield (lineno, u, v) for whitespace-separated integer pair lines."""
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64)])
+_COORD_ROW = np.dtype([("id", np.int64), ("r", np.float64), ("phi", np.float64)])
+
+
+def _read_rows(path: str | Path, row: np.dtype) -> np.ndarray:
+    """The lines of `path` (gzip when it ends in .gz) as a 1-D array of `row`,
+    by numpy's C reader.  `#` starts a comment, on a line of its own or
+    after the fields.  A file without rows is valid and gives none."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, dtype=row, comments="#", ndmin=1)
+    except ValueError:
+        _raise_first_bad_line(path, row)
+        raise  # numpy refused what int() and float() accept, such as 1_000
+
+
+def _raise_first_bad_line(path: str | Path, row: np.dtype) -> None:
+    """Raise a ValueError naming the first line with the wrong field count
+    or a field that int() or float() rejects; return if there is none."""
+    parsers = [int if row[name].kind == "i" else float for name in row.names]
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected two fields, got {len(parts)}")
-            try:
-                yield lineno, int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer endpoint") from None
+            parts = line.split("#", 1)[0].split()
+            if parts and len(parts) != len(parsers):
+                want = {2: "two", 3: "three"}[len(parsers)]
+                raise ValueError(f"{path}: line {lineno}: expected {want} fields, got {len(parts)}")
+            for name, parse, part in zip(row.names, parsers, parts):
+                try:
+                    parse(part)
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: cannot read {name} "
+                                     f"from {part!r}") from None
 
 
 def load_edge_list(path: str | Path, n: int | None = None) -> Graph:
-    """Read a pair-per-line edge file.
+    """Read a pair-per-line edge file of integer ids (gzip when it ends in .gz).
 
-    `#` comment lines are tolerated.  When n is given, ids are used as-is
-    and must be < n; otherwise distinct endpoint ids are remapped to a
-    dense 0..n-1 range in sorted order.  Direction, duplicate pairs and
-    self-loops are all collapsed away.
+    `#` starts a comment, on a line of its own or after a pair: `0 1 # x`
+    reads as 0 1.  When n is given, ids are used as-is and must be < n;
+    otherwise distinct endpoint ids are remapped to a dense 0..n-1 range in
+    sorted order.  Direction, duplicate pairs and self-loops are dropped.
     """
-    us, vs = [], []
-    for _, u, v in _parse_pairs(path):
-        us.append(u)
-        vs.append(v)
-    if not us:
-        return Graph.from_edges(n or 0, np.empty((0, 2), dtype=np.int64))
-    raw = np.column_stack([np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)])
+    raw = _read_rows(path, _EDGE_ROW).view(np.int64).reshape(-1, 2)
     if n is None:
-        ids = np.unique(raw)
-        flat = np.searchsorted(ids, raw.ravel())
-        return Graph.from_edges(ids.shape[0], flat.reshape(-1, 2))
+        ids, flat = np.unique(raw, return_inverse=True)
+        return Graph.from_edges(ids.shape[0], flat)
     return Graph.from_edges(n, raw)
 
 
 def load_coords(path: str | Path) -> Points:
-    """Read an `id<TAB>r<TAB>phi` file; ids must form a dense 0-based range."""
-    ids, rs, phis = [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected three fields")
-            ids.append(int(parts[0]))
-            rs.append(float(parts[1]))
-            phis.append(float(parts[2]))
-    order = np.argsort(ids)
-    ids_arr = np.asarray(ids, dtype=np.int64)[order]
-    if ids_arr.size and not np.array_equal(ids_arr, np.arange(ids_arr.shape[0])):
+    """Read an `id<TAB>r<TAB>phi` file; ids are integers forming a dense
+    0-based range, in any order.  Comments as in `load_edge_list`."""
+    rows = _read_rows(path, _COORD_ROW)
+    order = np.argsort(rows["id"])
+    if not np.array_equal(rows["id"][order], np.arange(rows.shape[0])):
         raise ValueError(f"{path}: ids must be 0..n-1 with no gaps")
-    return Points(np.asarray(rs)[order], np.asarray(phis)[order])
+    return Points(rows["r"][order], rows["phi"][order])
 
 
 def load_graph(edge_path: str | Path, coords_path: str | Path | None = None) -> Graph:

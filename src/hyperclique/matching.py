@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 __all__ = [
     "Bipartition",
@@ -126,6 +124,10 @@ def max_clique_cobipartite(adj: np.ndarray, split: Bipartition | None = None) ->
     an empty side B means the graph is complete: it is its own clique.
     Raises ValueError when the complement is not bipartite.
     """
+    # scipy's import is paid by the first lens, not by the package import
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     if split is None:
         split = complement_bipartition(adj)
     if isinstance(split, OddCycle):

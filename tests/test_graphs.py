@@ -3,6 +3,7 @@
 import gzip
 import io
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -27,12 +28,47 @@ def _random_graph(rng, n, p):
 
 
 def test_from_edges_normalizes():
-    # duplicates in both directions plus a loop collapse to two edges
+    # duplicates in both directions plus a loop collapse to two edges, in
+    # any input order; vertex 3 stays isolated
     edges = np.array([[0, 1], [1, 0], [0, 1], [2, 2], [1, 2]])
-    g = Graph.from_edges(3, edges)
-    assert g.n == 3 and g.m == 2
-    assert g.neighbors(1).tolist() == [0, 2]
-    assert not g.has_edge(2, 2)
+    for order in ([0, 1, 2, 3, 4], [4, 2, 3, 1, 0], [3, 1, 4, 0, 2]):
+        g = Graph.from_edges(4, edges[order])
+        assert g.n == 4 and g.m == 2
+        assert g.indptr.tolist() == [0, 1, 3, 4, 4]
+        assert g.indices.tolist() == [1, 0, 2, 1]
+        assert g.neighbors(1).tolist() == [0, 2]
+        assert not g.has_edge(2, 2) and g.degree(3) == 0
+
+
+def _csr_oracle(n, edges):
+    """indptr and indices from a Python set of ordered pairs."""
+    pairs = {(int(u), int(v)) for u, v in edges if u != v}
+    pairs |= {(v, u) for u, v in pairs}
+    rows = [sorted(v for u, v in pairs if u == w) for w in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return indptr, [v for r in rows for v in r]
+
+
+def test_from_edges_matches_set_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        # few distinct ids so that repeats, reversed repeats and loops are common,
+        # and ids left unused so that isolated vertices appear
+        used = rng.choice(n, size=max(1, n // 2), replace=False)
+        edges = rng.choice(used, size=(int(rng.integers(0, 3 * n)), 2))
+        edges = np.concatenate([edges, edges[::2, ::-1], edges[1::3]])
+        edges = edges[rng.permutation(edges.shape[0])]
+        g = Graph.from_edges(n, edges)
+        indptr, indices = _csr_oracle(n, edges)
+        assert g.indptr.tolist() == indptr.tolist()
+        assert g.indices.tolist() == indices
+        assert g.m == len(indices) // 2
+    for n, edges in ((0, []), (0, np.empty((0, 2), dtype=np.int64)),
+                     (3, []), (3, [[1, 1], [2, 2]])):
+        g = Graph.from_edges(n, edges)
+        assert g.indptr.tolist() == [0] * (n + 1) and g.indices.size == 0
+        assert g.indptr.dtype == g.indices.dtype == np.int64
 
 
 def test_from_edges_range_check():
@@ -160,6 +196,65 @@ def test_load_edge_list_rejects_malformed(tmp_path):
     path.write_text("0 1 2\n")
     with pytest.raises(ValueError, match="two fields"):
         load_edge_list(path)
+    # lines are counted in the file, comments and blank lines included
+    for text, line in (("# c\n\n0 1\n1 2 3\n", 4), ("0 1\n# c\n2\n", 3), ("0 1\n1 2.5\n", 2)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            load_edge_list(path)
+    path.write_text("0 1\n1 99999999999999999999\n")  # beyond int64
+    with pytest.raises(ValueError):
+        load_edge_list(path)
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n# and another\n"])
+def test_load_edge_list_without_pairs(tmp_path, text):
+    path = tmp_path / "none.tsv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's reader warns on input without rows
+        g = load_edge_list(path)
+        h = load_edge_list(path, n=4)
+    assert (g.n, g.m) == (0, 0) and g.indptr.tolist() == [0]
+    assert (h.n, h.m) == (4, 0) and h.indptr.tolist() == [0] * 5
+
+
+def test_load_edge_list_accepts_trailing_comment(tmp_path):
+    # a `#` after a pair starts a comment, as on a line of its own
+    path = tmp_path / "notes.tsv"
+    path.write_text("0 1  # first\n1\t2#second\n")
+    g = load_edge_list(path)
+    assert g.m == 2 and g.neighbors(1).tolist() == [0, 2]
+
+
+def test_load_edge_list_reads_gzip(tmp_path):
+    path = tmp_path / "g.tsv.gz"
+    with gzip.open(path, "wt") as fh:
+        fh.write("# gz\n5 9\n9 7\n")
+    g = load_edge_list(path)
+    assert g.n == 3 and g.m == 2 and g.neighbors(2).tolist() == [0, 1]
+
+
+def test_load_coords_rejects_malformed(tmp_path):
+    path = tmp_path / "c.tsv"
+    for text, line, what in (("0\t1.0\t0.5\n2.5\t2.0\t1.5\n", 2, "id from '2.5'"),
+                             ("0\t1.0\t0.5\n1\t2.0\n", 2, "three fields, got 2"),
+                             ("# c\n0\t1.0\t0.5\t7\n", 2, "three fields, got 4"),
+                             ("0\t1.0\t0.5\n1\tx\t1.5\n", 2, "r from 'x'")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: .*{what}"):
+            load_coords(path)
+    path.write_text("0\t1.0\t0.5\n2\t2.0\t1.5\n")
+    with pytest.raises(ValueError, match="no gaps"):
+        load_coords(path)
+
+
+def test_load_coords_orders_by_id(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("# id r phi\n2\t3.0\t2.5\n0\t1.0\t0.5  # origin side\n1\t2.0\t1.5\n")
+    pts = load_coords(path)
+    assert pts.r.tolist() == [1.0, 2.0, 3.0] and pts.phi.tolist() == [0.5, 1.5, 2.5]
+    path.write_text("")
+    assert len(load_coords(path)) == 0
 
 
 def test_coords_round_trip(tmp_path):

@@ -1,8 +1,14 @@
 """Co-bipartite engine tests against exhaustive and brute-force oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hyperclique
 from hyperclique.graphs import Graph
 from hyperclique.matching import (
     Bipartition,
@@ -238,3 +244,14 @@ def test_clique_plus_cover_is_everything():
         }
         clique = max_clique_cobipartite(g.dense())
         assert clique.size + _matching_oracle(left.tolist(), comp) == n
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy costs about as much to import as the whole package; only the
+    # first lens solve or C solve should pay for it
+    src = str(Path(hyperclique.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, hyperclique; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
